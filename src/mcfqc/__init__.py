@@ -62,7 +62,7 @@ from .states import (
     state_to_json,
 )
 from .symmetric_states import (
-    CldulState,
+    ClduiState,
     DsState,
     channel_from_ds,
     cldui_from_choi,

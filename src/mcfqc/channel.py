@@ -19,7 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, matrix_from_literal, matrix_to_literal
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    checked_hermitian,
+    checked_real,
+    is_psd,
+    matrix_from_literal,
+    matrix_to_literal,
+    pair_to_dense,
+)
 from .states import DensityMatrix, partial_trace
 
 
@@ -40,17 +50,13 @@ class McfChannel:
         p = as_matrix(self.crosstalk)
         if p.shape[0] != p.shape[1]:
             raise ValueError("crosstalk table must be square")
-        if np.abs(p.imag).max() > 0.0:
-            raise ValueError("crosstalk table must be real")
-        p = p.real.copy()
+        p = checked_real(p, "crosstalk table must be real").copy()
         if p.min() < 0.0:
             raise ValueError("crosstalk probabilities must be nonnegative")
         a = as_matrix(self.dephasing)
         if a.shape != p.shape:
             raise ValueError("dephasing table must match the crosstalk table shape")
-        if np.abs(a - a.conj().T).max() / 2 > DEFAULT_TOL.eq_tol:
-            raise ValueError("dephasing table must be Hermitian (alpha_ji = conj(alpha_ij))")
-        a = (a + a.conj().T) / 2
+        a = checked_hermitian(a, "dephasing table must be Hermitian (alpha_ji = conj(alpha_ij))")
         off = ~np.eye(a.shape[0], dtype=bool)
         if off.any() and np.abs(1.0 + a[off]).max() > 1.0 + DEFAULT_TOL.eq_tol:
             raise ValueError("dephasing out of range: |1 + alpha_ij| must be <= 1")
@@ -111,9 +117,8 @@ def verify_cptp(ch: McfChannel, tol: Tolerance = DEFAULT_TOL) -> CptpReport:
     """Trace preservation = unit row sums of P; complete positivity = PSD hat block."""
     residuals = np.abs(ch.crosstalk.sum(axis=1) - 1.0)
     tp_ok = bool(residuals.max() <= tol.eq_tol)
-    h = hat_block(ch)
-    lo = float(np.linalg.eigvalsh((h + h.conj().T) / 2)[0])
-    return CptpReport(tp_ok, lo >= -tol.psd_floor, tuple(float(r) for r in residuals), lo)
+    cp_ok, lo = is_psd(hat_block(ch), tol)
+    return CptpReport(tp_ok, cp_ok, tuple(float(r) for r in residuals), lo)
 
 
 def _physicality_warnings(ch: McfChannel, tol: Tolerance, force: bool) -> tuple[str, ...]:
@@ -161,19 +166,9 @@ def apply(
 def choi(ch: McfChannel, tol: Tolerance = DEFAULT_TOL) -> ChoiOperator:
     """Closed-form Choi operator (equals feeding half of |Psi+> through the fibre)."""
     d = ch.d
-    j = np.zeros((d * d, d * d), dtype=complex)
-    idx = np.arange(d * d)
-    j[idx, idx] = (ch.crosstalk / d).reshape(-1)
     h = hat_block(ch)
-    diag_pairs = np.arange(d) * (d + 1)
-    j[np.ix_(diag_pairs, diag_pairs)] = h
-    report = verify_cptp(ch, tol)
-    warnings = []
-    if not report.tp_ok:
-        warnings.append("not trace-preserving")
-    if not report.cp_ok:
-        warnings.append("not completely positive")
-    dm = DensityMatrix(j, factors=(d, d), warnings=tuple(warnings))
+    warnings = _physicality_warnings(ch, tol, force=True)
+    dm = DensityMatrix(pair_to_dense(ch.crosstalk / d, h), factors=(d, d), warnings=warnings)
     return ChoiOperator(dm, h)
 
 
@@ -270,12 +265,19 @@ def channel_to_config(ch: McfChannel) -> dict:
     }
 
 
-def channel_from_config(obj: dict) -> McfChannel:
-    """Parse {"d": int, "P": [[...]], "alpha": {"uniform": x} | {"matrix": [[...]]}}."""
+def crosstalk_from_config(obj: dict) -> np.ndarray:
+    """Parse the {"d": int, "P": [[...]]} part shared by channel and sweep configs."""
     d = int(obj["d"])
     p = matrix_from_literal(obj["P"])
     if p.shape != (d, d):
         raise ValueError(f"crosstalk table must be {d} x {d}, got {p.shape}")
+    return p
+
+
+def channel_from_config(obj: dict) -> McfChannel:
+    """Parse {"d": int, "P": [[...]], "alpha": {"uniform": x} | {"matrix": [[...]]}}."""
+    p = crosstalk_from_config(obj)
+    d = p.shape[0]
     alpha = obj["alpha"]
     if not isinstance(alpha, dict) or not ({"uniform", "matrix"} & alpha.keys()):
         raise ValueError('alpha must be {"uniform": real} or {"matrix": [[...]]}')

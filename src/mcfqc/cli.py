@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,11 @@ from .channel import (
     channel_from_config,
     channel_to_config,
     choi,
+    crosstalk_from_config,
     verify_cptp,
 )
 from .cones import SearchBudget, classify_ds
-from .linalg import Tolerance, matrix_from_literal, matrix_to_literal
+from .linalg import Tolerance, checked_real, matrix_from_literal, matrix_to_literal
 from .pipeline import run_protocol, sweep_alpha
 from .presets import BOUND6_M, DEMO_ALPHA_GRID, DEMO_CROSSTALK_5
 from .states import Conclusion, max_coherent, state_from_json, state_to_json
@@ -69,10 +71,6 @@ def _budget(args) -> SearchBudget:
     )
 
 
-def _tol_json(tol: Tolerance) -> dict:
-    return {"psd_floor": tol.psd_floor, "eq_tol": tol.eq_tol}
-
-
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -107,9 +105,7 @@ def _ds_matrix_from_input(obj: dict) -> np.ndarray:
         m = matrix_from_literal(obj["M"])
         if m.shape != (d, d):
             raise ValueError(f"pair-weight matrix must be {d} x {d}, got {m.shape}")
-        if np.abs(m.imag).max() > 0.0:
-            raise ValueError("pair-weight matrix must be real")
-        return m.real
+        return checked_real(m, "pair-weight matrix must be real")
     if "p" in obj:
         diag = [float(x) for x in obj["p"]["ii"]]
         upper = [float(x) for x in obj["p"]["ij"]]
@@ -133,7 +129,7 @@ def cmd_channel_check(args) -> int:
     return _emit(args, {
         "d": ch.d,
         "cptp": report.to_json_dict(),
-        "tolerances": _tol_json(tol),
+        "tolerances": asdict(tol),
     })
 
 
@@ -142,7 +138,7 @@ def cmd_apply(args) -> int:
     ch = channel_from_config(_load_json(args.input))
     rho = state_from_json(_load_json(args.state)) if args.state else max_coherent(ch.d)
     out = apply(ch, rho, force=args.force, tol=tol)
-    return _emit(args, {"state": state_to_json(out), "tolerances": _tol_json(tol)})
+    return _emit(args, {"state": state_to_json(out), "tolerances": asdict(tol)})
 
 
 def cmd_choi(args) -> int:
@@ -152,7 +148,7 @@ def cmd_choi(args) -> int:
     return _emit(args, {
         "choi": state_to_json(j.dm),
         "hat_block": matrix_to_literal(j.hat_block),
-        "tolerances": _tol_json(tol),
+        "tolerances": asdict(tol),
     })
 
 
@@ -163,7 +159,6 @@ def cmd_certify(args) -> int:
         ch, tol=tol, budget=_budget(args), force=args.force, timestamp=args.timestamp
     )
     obj = report.to_json_dict()
-    obj["tolerances"] = _tol_json(tol)
     if args.outdir:
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -173,8 +168,7 @@ def cmd_certify(args) -> int:
             _write_csv(outdir / "cldui_weights.csv", np.abs(report.cldui.weights))
             _write_csv(outdir / "cldui_coherences.csv", np.abs(report.cldui.coherences))
         return 0
-    sys.stdout.write(_dump_json(obj))
-    return 0
+    return _emit(args, obj)
 
 
 def cmd_design(args) -> int:
@@ -185,7 +179,7 @@ def cmd_design(args) -> int:
     return _emit(args, {
         "channel": channel_to_config(ch),
         "cptp": report.to_json_dict(),
-        "tolerances": _tol_json(tol),
+        "tolerances": asdict(tol),
     })
 
 
@@ -193,39 +187,22 @@ def cmd_cp_test(args) -> int:
     tol = _tolerance(args)
     m = _ds_matrix_from_input(_load_json(args.input))
     classification, cone = classify_ds(m, _budget(args), tol)
-    obj = {
-        "classification": classification.value,
-        "dnn": cone.dnn,
-        "cp": cone.cp.value,
-        "evidence": cone.evidence,
-        "tolerances": _tol_json(tol),
-    }
-    if cone.factor is not None:
-        obj["factor"] = matrix_to_literal(cone.factor)
-    if cone.search is not None:
-        obj["search"] = {
-            "found": cone.search.found,
-            "best_residual": cone.search.best_residual,
-            "restarts_run": cone.search.restarts_run,
-            "total_iterations": cone.search.total_iterations,
-            "found_at_restart": cone.search.found_at_restart,
-        }
+    obj = {k: v for k, v in cone.to_json_dict().items() if v is not None}
+    obj["classification"] = classification.value
+    obj["tolerances"] = asdict(tol)
     return _emit(args, obj)
 
 
 def cmd_sweep(args) -> int:
     tol = _tolerance(args)
     cfg = _load_json(args.input)
-    d = int(cfg["d"])
-    p = matrix_from_literal(cfg["P"])
-    if p.shape != (d, d):
-        raise ValueError(f"crosstalk table must be {d} x {d}, got {p.shape}")
+    p = crosstalk_from_config(cfg)
     grid = [float(a) for a in cfg["grid"]]
     rows = sweep_alpha(p.real, grid, tol=tol, budget=_budget(args))
     table = {
-        "d": d,
+        "d": p.shape[0],
         "rows": [row.to_json_dict() for row in rows],
-        "tolerances": _tol_json(tol),
+        "tolerances": asdict(tol),
     }
     if args.outdir:
         outdir = Path(args.outdir)
@@ -234,8 +211,7 @@ def cmd_sweep(args) -> int:
         for row in rows:
             _write_csv(outdir / f"action_alpha_{row.alpha:g}.csv", np.abs(row.action))
         return 0
-    sys.stdout.write(_dump_json(table))
-    return 0
+    return _emit(args, table)
 
 
 def cmd_demo_fig1(args) -> int:
@@ -264,7 +240,7 @@ def cmd_demo_fig1(args) -> int:
     _write_json(outdir / "summary.json", {
         "input_state": {"description": "maximally coherent, every entry 0.2", "dim": 5},
         "rows": entries,
-        "tolerances": _tol_json(tol),
+        "tolerances": asdict(tol),
     })
     return 0
 
@@ -281,9 +257,7 @@ def cmd_demo_bound6(args) -> int:
     report = run_protocol(
         ch, tol=tol, budget=_budget(args), timestamp=args.timestamp
     )
-    obj = report.to_json_dict()
-    obj["tolerances"] = _tol_json(tol)
-    _write_json(outdir / "report.json", obj)
+    _write_json(outdir / "report.json", report.to_json_dict())
 
     failures = []
     if not report.cptp.tp_ok:
@@ -398,7 +372,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, KeyError) as exc:
+    except (ValueError, TypeError, RuntimeError, KeyError) as exc:
         print(f"mcfqc {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix
+from .linalg import DEFAULT_TOL, Tolerance, checked_real_symmetric, matrix_to_literal
 
 
 class CpStatus(str, Enum):
@@ -61,6 +61,16 @@ class FactorizationResult:
     total_iterations: int
     found_at_restart: int | None
 
+    def to_json_dict(self) -> dict:
+        """Search statistics; the factor itself is serialized by ConeVerdict."""
+        return {
+            "found": self.found,
+            "best_residual": self.best_residual,
+            "restarts_run": self.restarts_run,
+            "total_iterations": self.total_iterations,
+            "found_at_restart": self.found_at_restart,
+        }
+
 
 @dataclass(frozen=True)
 class ConeVerdict:
@@ -72,22 +82,19 @@ class ConeVerdict:
     factor: np.ndarray | None = None
     search: FactorizationResult | None = None
 
-
-def _symmetric_real(m, tol: Tolerance) -> np.ndarray:
-    a = as_matrix(m)
-    if np.abs(a.imag).max() > 0.0:
-        raise ValueError("matrix must be real")
-    a = a.real
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.abs(a - a.T).max() > tol.eq_tol:
-        raise ValueError("matrix is not symmetric")
-    return a
+    def to_json_dict(self) -> dict:
+        return {
+            "dnn": self.dnn,
+            "cp": self.cp.value,
+            "evidence": self.evidence,
+            "factor": None if self.factor is None else matrix_to_literal(self.factor),
+            "search": None if self.search is None else self.search.to_json_dict(),
+        }
 
 
 def is_dnn(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Entrywise nonnegative and positive semidefinite."""
-    a = _symmetric_real(m, tol)
+    a = checked_real_symmetric(m, "matrix", tol)
     if a.min() < -tol.eq_tol:
         return False
     return float(np.linalg.eigvalsh((a + a.T) / 2)[0]) >= -tol.psd_floor
@@ -100,7 +107,7 @@ def cp_sufficient(m, tol: Tolerance = DEFAULT_TOL) -> str | None:
     order below five together with doubly-nonnegative membership. Returns
     the satisfied condition's name, or None; never a false positive.
     """
-    a = _symmetric_real(m, tol)
+    a = checked_real_symmetric(m, "matrix", tol)
     if a.min() < -tol.eq_tol:
         return None
     off_row_sums = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
@@ -171,7 +178,7 @@ def cp_factorize(
     not doubly nonnegative cannot be completely positive and is rejected
     without searching.
     """
-    a = _symmetric_real(m, tol)
+    a = checked_real_symmetric(m, "matrix", tol)
     if not is_dnn(a, tol):
         return FactorizationResult(False, None, np.inf, 0, 0, None)
     d = a.shape[0]
@@ -218,7 +225,7 @@ def classify_ds(
     Doubly nonnegative at order >= 5 with the search exhausted is reported
     as a bound-entanglement candidate, since a failed search is not a proof.
     """
-    a = _symmetric_real(m, tol)
+    a = checked_real_symmetric(m, "matrix", tol)
     mass = float(a.sum())
     if mass <= 0.0:
         raise ValueError("pair-weight matrix must have positive total mass")
@@ -228,8 +235,6 @@ def classify_ds(
     condition = cp_sufficient(a, tol)
     if condition is not None:
         return Classification.SEPARABLE, ConeVerdict(True, CpStatus.YES, condition)
-    if a.shape[0] < 5:
-        return Classification.SEPARABLE, ConeVerdict(True, CpStatus.YES, "small-dimension")
     result = cp_factorize(a, budget, tol)
     if result.found:
         verdict = ConeVerdict(True, CpStatus.YES, "factorization", result.factor, result)

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernels shared by every other module.
+"""Dense complex linear algebra kernels and input checks shared by every other module.
 
 Everything operates on plain numpy arrays (complex128, row-major). All
 objects in this package are small (at most a few dozen rows per tensor
@@ -45,7 +45,7 @@ def as_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     if a.size == 0:
         raise ValueError("empty matrix")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -60,10 +60,47 @@ def entrywise_one_norm(m) -> float:
     return float(np.abs(as_matrix(m)).sum())
 
 
-def hermitian_part(m) -> np.ndarray:
-    """(M + M†)/2."""
-    a = as_matrix(m)
+def checked_hermitian(
+    a: np.ndarray, message: str = "not Hermitian", tol: Tolerance = DEFAULT_TOL
+) -> np.ndarray:
+    """Hermitian part (A + A†)/2 of a square as_matrix result, raising
+    ValueError(message) if the anti-Hermitian part exceeds eq_tol."""
+    if np.abs(a - a.conj().T).max() / 2 > tol.eq_tol:
+        raise ValueError(message)
     return (a + a.conj().T) / 2
+
+
+def checked_real(a: np.ndarray, message: str) -> np.ndarray:
+    """Real part (a view) of an as_matrix result, raising ValueError(message)
+    on any imaginary part."""
+    if np.abs(a.imag).max() > 0.0:
+        raise ValueError(message)
+    return a.real
+
+
+def checked_real_symmetric(
+    m, name: str, tol: Tolerance = DEFAULT_TOL, asymmetry: str = "is not symmetric"
+) -> np.ndarray:
+    """Real square matrix symmetric within eq_tol; errors read "<name> must be
+    real", "<name> must be square" and "<name> <asymmetry>"."""
+    a = checked_real(as_matrix(m), f"{name} must be real")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square")
+    if np.abs(a - a.T).max() > tol.eq_tol:
+        raise ValueError(f"{name} {asymmetry}")
+    return a
+
+
+def check_distribution(a: np.ndarray, name: str, entries: str | None = None) -> None:
+    """Raise unless a real table is nonnegative and sums to 1, both within the default eq_tol.
+
+    The messages read "<entries> must be nonnegative" (entries defaults to
+    name) and "<name> must sum to 1, got <sum>".
+    """
+    if a.min() < -DEFAULT_TOL.eq_tol:
+        raise ValueError(f"{entries or name} must be nonnegative")
+    if abs(a.sum() - 1.0) > DEFAULT_TOL.eq_tol:
+        raise ValueError(f"{name} must sum to 1, got {a.sum()}")
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -76,10 +113,24 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("not a square matrix")
-    if np.abs(a - a.conj().T).max() / 2 > tol.eq_tol:
-        raise ValueError("not Hermitian")
-    lo = float(np.linalg.eigvalsh(hermitian_part(a))[0])
+    lo = float(np.linalg.eigvalsh(checked_hermitian(a, tol=tol))[0])
     return lo >= -tol.psd_floor, lo
+
+
+def pair_to_dense(weights, coherences) -> np.ndarray:
+    """Expand a (weights, coherences) pair of d x d tables to a d^2 x d^2 matrix.
+
+    In the row-major product basis |ij>, weights[i, j] sits on the diagonal
+    at |ij><ij| and coherences[i, j] at |ii><jj|; every other entry is zero.
+    The tables overlap on |ii><ii|, where the coherences are written last.
+    """
+    d = weights.shape[0]
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    idx = np.arange(d * d)
+    mat[idx, idx] = weights.reshape(-1)
+    diag_pairs = np.arange(d) * (d + 1)
+    mat[np.ix_(diag_pairs, diag_pairs)] = coherences
+    return mat
 
 
 def kron(a, b, max_dim: int = MAX_KRON_DIM) -> np.ndarray:

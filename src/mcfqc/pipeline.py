@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .states import (
     state_to_json,
 )
 from .symmetric_states import (
-    CldulState,
+    ClduiState,
     cldui_from_choi,
     cldui_is_ppt,
     cldui_realignment_test,
@@ -59,7 +59,7 @@ class CertificationReport:
     channel: McfChannel
     cptp: CptpReport
     choi_op: ChoiOperator
-    cldui: CldulState
+    cldui: ClduiState
     verdicts: tuple[CriterionVerdict, ...]
     ds_section: DsSection | None
     provenance: dict
@@ -84,27 +84,13 @@ class CertificationReport:
             "ds_section": None,
             "provenance": self.provenance,
             "warnings": list(self.warnings),
+            "tolerances": dict(self.provenance["tolerances"]),
         }
         if self.ds_section is not None:
-            cone = self.ds_section.cone
             obj["ds_section"] = {
                 "m": matrix_to_literal(self.ds_section.m),
                 "classification": self.ds_section.classification.value,
-                "cone": {
-                    "dnn": cone.dnn,
-                    "cp": cone.cp.value,
-                    "evidence": cone.evidence,
-                    "factor": None if cone.factor is None else matrix_to_literal(cone.factor),
-                    "search": None
-                    if cone.search is None
-                    else {
-                        "found": cone.search.found,
-                        "best_residual": cone.search.best_residual,
-                        "restarts_run": cone.search.restarts_run,
-                        "total_iterations": cone.search.total_iterations,
-                        "found_at_restart": cone.search.found_at_restart,
-                    },
-                },
+                "cone": self.ds_section.cone.to_json_dict(),
             }
         return obj
 
@@ -185,20 +171,15 @@ def run_protocol(
 
     config = {
         "channel": channel_to_config(ch),
-        "budget": {
-            "restarts": budget.restarts,
-            "max_iters": budget.max_iters,
-            "residual_target": budget.residual_target,
-            "seed": budget.seed,
-        },
+        "budget": asdict(budget),
         "force": force,
-        "tolerances": {"psd_floor": tol.psd_floor, "eq_tol": tol.eq_tol},
+        "tolerances": asdict(tol),
     }
     provenance = {
         "config_sha256": config_digest(config),
         "seed": budget.seed,
         "timestamp": timestamp,
-        "tolerances": {"psd_floor": tol.psd_floor, "eq_tol": tol.eq_tol},
+        "tolerances": asdict(tol),
     }
     return CertificationReport(
         ch, cptp, choi_op, cldui, verdicts, ds_section, provenance, warnings

@@ -10,7 +10,7 @@ import numpy as np
 
 from .channel import McfChannel
 from .states import DensityMatrix
-from .symmetric_states import CldulState, DsState
+from .symmetric_states import ClduiState, DsState
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, factors=None) -> DensityMatrix:
@@ -54,14 +54,14 @@ def random_cptp_channel(d: int, rng: np.random.Generator) -> McfChannel:
     return McfChannel(p, alpha)
 
 
-def random_cldui_state(d: int, rng: np.random.Generator) -> CldulState:
+def random_cldui_state(d: int, rng: np.random.Generator) -> ClduiState:
     """Random valid (weights, coherences) pair; a mix of PPT and NPT instances."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     coh = g @ g.conj().T
     weights = rng.random((d, d))
     np.fill_diagonal(weights, np.diag(coh).real)
     total = weights.sum()
-    return CldulState(weights / total, coh / total)
+    return ClduiState(weights / total, coh / total)
 
 
 def random_dnn_matrix(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    hermitian_part,
+    checked_hermitian,
     is_psd,
     matrix_from_literal,
     matrix_to_literal,
@@ -63,9 +63,7 @@ class DensityMatrix:
         n = a.shape[0]
         if a.shape[1] != n:
             raise ValueError("density matrix must be square")
-        if np.abs(a - a.conj().T).max() / 2 > DEFAULT_TOL.eq_tol:
-            raise ValueError("not Hermitian")
-        a = hermitian_part(a)
+        a = checked_hermitian(a)
         if self.factors is not None:
             da, db = self.factors
             if da < 1 or db < 1 or da * db != n:

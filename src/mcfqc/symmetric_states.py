@@ -26,12 +26,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChoiOperator, McfChannel
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, entrywise_one_norm, is_psd, trace_norm
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    check_distribution,
+    checked_hermitian,
+    checked_real,
+    checked_real_symmetric,
+    entrywise_one_norm,
+    is_psd,
+    pair_to_dense,
+    trace_norm,
+)
 from .states import Conclusion, CriterionVerdict, DensityMatrix
 
 
 @dataclass(frozen=True)
-class CldulState:
+class ClduiState:
     """Pair (weights, coherences) of d x d tables defining an invariant state.
 
     Validity requires entrywise nonnegative weights summing to 1, a PSD
@@ -50,19 +62,12 @@ class CldulState:
         d = a.shape[0]
         if a.shape[1] != d:
             raise ValueError("weight table must be square")
-        if np.abs(a.imag).max() > 0.0:
-            raise ValueError("weight table must be real")
-        a = a.real.copy()
-        if a.min() < -DEFAULT_TOL.eq_tol:
-            raise ValueError("weight table entries must be nonnegative")
-        if abs(a.sum() - 1.0) > DEFAULT_TOL.eq_tol:
-            raise ValueError(f"weight table must sum to 1, got {a.sum()}")
+        a = checked_real(a, "weight table must be real").copy()
+        check_distribution(a, "weight table", "weight table entries")
         b = as_matrix(self.coherences)
         if b.shape != (d, d):
             raise ValueError("coherence block must match the weight table shape")
-        if np.abs(b - b.conj().T).max() / 2 > DEFAULT_TOL.eq_tol:
-            raise ValueError("coherence block must be Hermitian")
-        b = (b + b.conj().T) / 2
+        b = checked_hermitian(b, "coherence block must be Hermitian")
         if np.abs(np.diag(a) - np.diag(b).real).max() > DEFAULT_TOL.eq_tol:
             raise ValueError("diagonals of the weight and coherence tables must agree")
         object.__setattr__(self, "warnings", tuple(self.warnings))
@@ -95,15 +100,10 @@ class DsState:
         w = as_matrix(self.weights)
         if w.shape != (self.d, self.d):
             raise ValueError(f"weight table must be {self.d} x {self.d}")
-        if np.abs(w.imag).max() > 0.0:
-            raise ValueError("weights must be real")
-        w = w.real.copy()
+        w = checked_real(w, "weights must be real").copy()
         if np.abs(np.tril(w, -1)).max() > 0.0:
             raise ValueError("weights must be upper triangular (use index i <= j)")
-        if w.min() < -DEFAULT_TOL.eq_tol:
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > DEFAULT_TOL.eq_tol:
-            raise ValueError(f"weights must sum to 1, got {w.sum()}")
+        check_distribution(w, "weights")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -124,18 +124,13 @@ def dicke_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
-def cldui_to_density(s: CldulState) -> DensityMatrix:
+def cldui_to_density(s: ClduiState) -> DensityMatrix:
     """Expand the (weights, coherences) pair into a (d^2) x (d^2) state."""
-    d = s.d
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    idx = np.arange(d * d)
-    mat[idx, idx] = s.weights.reshape(-1)
-    diag_pairs = np.arange(d) * (d + 1)
-    mat[np.ix_(diag_pairs, diag_pairs)] = s.coherences
-    return DensityMatrix(mat, factors=(d, d), warnings=s.warnings)
+    mat = pair_to_dense(s.weights, s.coherences)
+    return DensityMatrix(mat, factors=(s.d, s.d), warnings=s.warnings)
 
 
-def cldui_from_choi(j: ChoiOperator, tol: Tolerance = DEFAULT_TOL) -> CldulState:
+def cldui_from_choi(j: ChoiOperator, tol: Tolerance = DEFAULT_TOL) -> ClduiState:
     """Read the (weights, coherences) pair off a fibre-channel Choi operator.
 
     The weights are the crosstalk probabilities over d; the coherence block
@@ -149,10 +144,10 @@ def cldui_from_choi(j: ChoiOperator, tol: Tolerance = DEFAULT_TOL) -> CldulState
     coherences = as_matrix(j.hat_block)
     if np.abs(np.diag(weights) - np.diag(coherences).real).max() > tol.eq_tol:
         raise ValueError("malformed Choi operator: hat-block diagonal disagrees with the state")
-    return CldulState(weights, coherences, warnings=dm.warnings)
+    return ClduiState(weights, coherences, warnings=dm.warnings)
 
 
-def cldui_is_ppt(s: CldulState, tol: Tolerance = DEFAULT_TOL) -> CriterionVerdict:
+def cldui_is_ppt(s: ClduiState, tol: Tolerance = DEFAULT_TOL) -> CriterionVerdict:
     """Closed-form PPT test: min over pairs of A_ij * A_ji - |B_ij|^2."""
     a, b = s.weights, s.coherences
     off = ~np.eye(s.d, dtype=bool)
@@ -162,7 +157,7 @@ def cldui_is_ppt(s: CldulState, tol: Tolerance = DEFAULT_TOL) -> CriterionVerdic
     return CriterionVerdict("cldui-ppt", value, flag)
 
 
-def cldui_realignment_test(s: CldulState, tol: Tolerance = DEFAULT_TOL) -> CriterionVerdict:
+def cldui_realignment_test(s: ClduiState, tol: Tolerance = DEFAULT_TOL) -> CriterionVerdict:
     """Realignment trace norm via the exact block decomposition.
 
     The realigned matrix is the weight table direct-summed with the
@@ -207,13 +202,8 @@ def m_matrix(s: DsState) -> np.ndarray:
 
 def ds_from_m_matrix(m) -> DsState:
     """Inverse of m_matrix: p_ii from the diagonal, p_ij = 2 m_ij for i < j."""
-    a = as_matrix(m)
-    if np.abs(a.imag).max() > 0.0:
-        raise ValueError("pair-weight matrix must be real")
-    a = a.real
+    a = checked_real_symmetric(m, "pair-weight matrix", asymmetry="must be symmetric")
     d = a.shape[0]
-    if np.abs(a - a.T).max() > DEFAULT_TOL.eq_tol:
-        raise ValueError("pair-weight matrix must be symmetric")
     w = np.triu(2 * a, 1)
     np.fill_diagonal(w, np.diag(a))
     return DsState(d, w)
@@ -225,16 +215,8 @@ def ds_partial_transpose(s: DsState) -> tuple[np.ndarray, np.ndarray]:
     The spectrum of the partial transpose is the spectrum of the pair-weight
     matrix joined with the off-diagonal weights p_ij / 2 (each twice).
     """
-    d = s.d
     m = m_matrix(s)
-    g = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                g[i * d + j, i * d + j] = m[i, j]
-    diag_pairs = np.arange(d) * (d + 1)
-    g[np.ix_(diag_pairs, diag_pairs)] = m
-    return g, m
+    return pair_to_dense(m, m), m
 
 
 def channel_from_ds(m, tol: Tolerance = DEFAULT_TOL) -> McfChannel:
@@ -246,15 +228,8 @@ def channel_from_ds(m, tol: Tolerance = DEFAULT_TOL) -> McfChannel:
     d * m_ij <= 1 off the diagonal. Asymmetric tables are rejected rather
     than symmetrized: they describe valid channels but not this family.
     """
-    a = as_matrix(m)
-    if np.abs(a.imag).max() > 0.0:
-        raise ValueError("pair-weight matrix must be real")
-    a = a.real
+    a = checked_real_symmetric(m, "pair-weight matrix", tol)
     d = a.shape[0]
-    if a.shape[1] != d:
-        raise ValueError("pair-weight matrix must be square")
-    if np.abs(a - a.T).max() > tol.eq_tol:
-        raise ValueError("pair-weight matrix is not symmetric")
     if a.min() < 0.0:
         raise ValueError("pair-weight matrix entries must be nonnegative")
     sums = np.concatenate([a.sum(axis=0), a.sum(axis=1)])

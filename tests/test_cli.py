@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,10 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcfqc.channel import channel_to_config
 from mcfqc.linalg import matrix_to_literal
 from mcfqc.presets import BOUND6_M, DEMO_CROSSTALK_5
+from mcfqc.symmetric_states import channel_from_ds
 
 FAST_SEARCH = ["--restarts", "5", "--max-iters", "5000"]
+# Nonnegative factor of an order-5 matrix that the reduced search factorizes.
+PLANTED_CP_5 = np.random.default_rng(0).random((5, 15))
+SEARCH_KEYS = {"found", "best_residual", "restarts_run", "total_iterations", "found_at_restart"}
 
 
 def run_cli(*args):
@@ -55,6 +61,23 @@ class TestExitCodes:
         proc = run_cli("channel-check", "--input", str(bad))
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"d": 2, "P": [[1, None], [0, 1]], "alpha": {"uniform": 0.0}},
+            [1, 2],
+            {"d": [2], "P": [[1, 0], [0, 1]], "alpha": {"uniform": 0.0}},
+        ],
+        ids=["null-entry", "top-level-list", "list-d"],
+    )
+    def test_malformed_config_is_validation_error(self, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        proc = run_cli("channel-check", "-i", str(bad))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("mcfqc channel-check: error: ")
+
 
 class TestChannelCheck:
     def test_demo_channel_reports_cptp(self, tmp_path):
@@ -98,6 +121,14 @@ class TestApplyAndChoi:
         hat = np.array(obj["hat_block"])
         assert hat.shape == (5, 5)
 
+    def test_choi_output_bytes_are_pinned(self, tmp_path):
+        # Pinned across commits; no LAPACK result reaches these bytes.
+        proc = run_cli("choi", "--input", str(write_demo_channel(tmp_path)))
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
+            "2fac03aaeed38346f639b45d1759560fc8e9992c58e0d81d7b1f7b092b273f48"
+        )
+
 
 class TestCertify:
     def test_writes_report_and_csv(self, tmp_path):
@@ -121,6 +152,22 @@ class TestCertify:
         assert proc.returncode == 0
         obj = json.loads(proc.stdout)
         assert obj["warnings"] == ["unphysical parameters"]
+
+    def test_report_key_sets(self, tmp_path):
+        cfg = tmp_path / "b6.json"
+        cfg.write_text(json.dumps(channel_to_config(channel_from_ds(BOUND6_M))), encoding="utf-8")
+        proc = run_cli("certify", "--input", str(cfg), *FAST_SEARCH)
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert set(obj) == {
+            "channel", "cptp", "output_state", "cldui", "verdicts",
+            "ds_section", "provenance", "warnings", "tolerances",
+        }
+        assert set(obj["ds_section"]) == {"m", "classification", "cone"}
+        cone = obj["ds_section"]["cone"]
+        assert set(cone) == {"dnn", "cp", "evidence", "factor", "search"}
+        assert cone["factor"] is None
+        assert set(cone["search"]) == SEARCH_KEYS
 
 
 class TestDesign:
@@ -180,6 +227,24 @@ class TestCpTest:
         assert obj["classification"] == "ppt-entangled-candidate"
         assert obj["dnn"] is True
         assert obj["search"]["found"] is False
+
+    @pytest.mark.parametrize(
+        "m, extra",
+        [
+            (np.eye(3) / 3, set()),
+            (BOUND6_M, {"search"}),
+            (PLANTED_CP_5 @ PLANTED_CP_5.T, {"factor", "search"}),
+        ],
+        ids=["sufficient", "not-found", "factorized"],
+    )
+    def test_output_key_sets(self, tmp_path, m, extra):
+        target = write_bound6(tmp_path, m)
+        proc = run_cli("cp-test", "--input", str(target), *FAST_SEARCH)
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert set(obj) == {"classification", "dnn", "cp", "evidence", "tolerances"} | extra
+        if "search" in obj:
+            assert set(obj["search"]) == SEARCH_KEYS
 
 
 class TestSweep:

@@ -75,6 +75,15 @@ class TestRunProtocol:
         b = run_protocol(ch, budget=FAST_BUDGET).to_json_dict()
         assert a == b
 
+    def test_config_digest_is_pinned(self):
+        # Pinned across commits: the digest covers the serialized channel,
+        # budget, force flag and tolerances, and no LAPACK result.
+        ch = McfChannel.with_uniform_dephasing(DEMO_CROSSTALK_5, -0.8)
+        report = run_protocol(ch, budget=SearchBudget(restarts=5, max_iters=5000))
+        assert report.provenance["config_sha256"] == (
+            "66fa32e3aa3d2512f2c3979c9224cbd545d9fd52844d3ff4e400bc67a09ea5d6"
+        )
+
     def test_provenance_hash_tracks_config(self):
         ch = McfChannel.with_uniform_dephasing(np.eye(3), -0.5)
         r1 = run_protocol(ch, budget=FAST_BUDGET)

@@ -15,7 +15,7 @@ from mcfqc.states import (
     realignment_trace_norm,
 )
 from mcfqc.symmetric_states import (
-    CldulState,
+    ClduiState,
     DsState,
     channel_from_ds,
     cldui_from_choi,
@@ -33,7 +33,7 @@ from mcfqc.symmetric_states import (
 def bell_pair_tables(d):
     weights = np.eye(d) / d
     coherences = np.ones((d, d)) / d
-    return CldulState(weights, coherences)
+    return ClduiState(weights, coherences)
 
 
 class TestDickeBasis:
@@ -57,23 +57,23 @@ class TestCldulState:
         w = np.full((2, 2), 0.4)
         w[0, 1] = -0.2
         with pytest.raises(ValueError, match="nonnegative"):
-            CldulState(w, np.eye(2) * 0.4)
+            ClduiState(w, np.eye(2) * 0.4)
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            CldulState(np.eye(2), np.eye(2))
+            ClduiState(np.eye(2), np.eye(2))
 
     def test_rejects_indefinite_coherences(self):
         w = np.full((2, 2), 0.25)
         b = np.array([[0.25, 0.8], [0.8, 0.25]])
         with pytest.raises(ValueError, match="not PSD"):
-            CldulState(w, b)
+            ClduiState(w, b)
 
     def test_rejects_diagonal_mismatch(self):
         w = np.full((2, 2), 0.25)
         b = np.diag([0.3, 0.2])
         with pytest.raises(ValueError, match="diagonals"):
-            CldulState(w, b)
+            ClduiState(w, b)
 
 
 class TestCldulDensity:
@@ -84,7 +84,7 @@ class TestCldulDensity:
 
     def test_uniform_tables_expand_to_maximally_mixed(self):
         d = 3
-        s = CldulState(np.full((d, d), 1 / d**2), np.eye(d) / d**2)
+        s = ClduiState(np.full((d, d), 1 / d**2), np.eye(d) / d**2)
         rho = cldui_to_density(s)
         assert np.abs(rho.mat - np.eye(d * d) / d**2).max() < 1e-12
 
@@ -140,7 +140,7 @@ class TestCldulCriteria:
         assert verdict.flag == Conclusion.INCONCLUSIVE
 
     def test_bound6_tables_sit_exactly_on_the_ppt_boundary(self):
-        s = CldulState(BOUND6_M, BOUND6_M)
+        s = ClduiState(BOUND6_M, BOUND6_M)
         verdict = cldui_is_ppt(s)
         assert verdict.flag == Conclusion.INCONCLUSIVE
         assert abs(verdict.value) < 1e-15
@@ -161,7 +161,7 @@ class TestCldulCriteria:
 
     def test_maximally_mixed_realignment_value(self):
         d = 2
-        s = CldulState(np.full((d, d), 1 / d**2), np.eye(d) / d**2)
+        s = ClduiState(np.full((d, d), 1 / d**2), np.eye(d) / d**2)
         verdict = cldui_realignment_test(s)
         assert verdict.value == pytest.approx(0.5, abs=1e-12)
         assert verdict.flag == Conclusion.INCONCLUSIVE
@@ -278,7 +278,7 @@ class TestDsPartialTranspose:
         # the partial transpose of a Dicke-diagonal state has the invariant
         # structure with both tables equal to the pair-weight matrix
         g, m = ds_partial_transpose(ds_from_m_matrix(BOUND6_M))
-        s = CldulState(m, m)
+        s = ClduiState(m, m)
         assert np.abs(cldui_to_density(s).mat - g).max() < 1e-12
 
 
