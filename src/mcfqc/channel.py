@@ -30,7 +30,7 @@ from .linalg import (
     matrix_to_literal,
     pair_to_dense,
 )
-from .states import DensityMatrix, partial_trace
+from .states import DensityMatrix, _trusted, partial_trace
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def apply(
     if rho.dim != ch.d:
         raise ValueError(f"dimension mismatch: channel has {ch.d} cores, state has {rho.dim}")
     warnings = _physicality_warnings(ch, tol, force) + rho.warnings
-    return DensityMatrix(_act(ch, rho.mat), factors=rho.factors, warnings=warnings)
+    return _trusted(DensityMatrix, mat=_act(ch, rho.mat), factors=rho.factors, warnings=warnings)
 
 
 def choi(ch: McfChannel, tol: Tolerance = DEFAULT_TOL) -> ChoiOperator:
@@ -168,7 +168,7 @@ def choi(ch: McfChannel, tol: Tolerance = DEFAULT_TOL) -> ChoiOperator:
     d = ch.d
     h = hat_block(ch)
     warnings = _physicality_warnings(ch, tol, force=True)
-    dm = DensityMatrix(pair_to_dense(ch.crosstalk / d, h), factors=(d, d), warnings=warnings)
+    dm = _trusted(DensityMatrix, mat=pair_to_dense(ch.crosstalk / d, h), factors=(d, d), warnings=warnings)
     return ChoiOperator(dm, h)
 
 
@@ -193,7 +193,7 @@ def extend_one_side(
     for i in range(d):
         for j in range(d):
             out[i, :, j, :] = _act(ch, t[i, :, j, :])
-    return DensityMatrix(out.reshape(d * d, d * d), factors=(d, d), warnings=warnings)
+    return _trusted(DensityMatrix, mat=out.reshape(d * d, d * d), factors=(d, d), warnings=warnings)
 
 
 def channel_from_choi(j, tol: Tolerance = DEFAULT_TOL):
@@ -271,7 +271,7 @@ def crosstalk_from_config(obj: dict) -> np.ndarray:
     p = matrix_from_literal(obj["P"])
     if p.shape != (d, d):
         raise ValueError(f"crosstalk table must be {d} x {d}, got {p.shape}")
-    return p
+    return checked_real(p, "crosstalk table must be real")
 
 
 def channel_from_config(obj: dict) -> McfChannel:

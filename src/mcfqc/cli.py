@@ -42,20 +42,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_tolerance_args(p: argparse.ArgumentParser):
-    p.add_argument("--psd-floor", type=float, default=1e-10,
-                   help="eigenvalue threshold for positivity checks (default 1e-10)")
-    p.add_argument("--eq-tol", type=float, default=1e-10,
-                   help="entrywise comparison threshold (default 1e-10)")
+    p.add_argument("--psd-floor", type=float, default=Tolerance.psd_floor,
+                   help="eigenvalue threshold for positivity checks (default %(default)s)")
+    p.add_argument("--eq-tol", type=float, default=Tolerance.eq_tol,
+                   help="entrywise comparison threshold (default %(default)s)")
 
 
 def _add_budget_args(p: argparse.ArgumentParser):
-    p.add_argument("--restarts", type=int, default=100,
-                   help="random restarts for the factorization search (default 100)")
-    p.add_argument("--max-iters", type=int, default=100_000,
-                   help="iteration cap per restart (default 100000)")
-    p.add_argument("--residual-target", type=float, default=1e-7,
-                   help="Frobenius residual declaring a factorization found (default 1e-7)")
-    p.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
+    p.add_argument("--restarts", type=int, default=SearchBudget.restarts,
+                   help="random restarts for the factorization search (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=SearchBudget.max_iters,
+                   help="iteration cap per restart (default %(default)s)")
+    p.add_argument("--residual-target", type=float, default=SearchBudget.residual_target,
+                   help="Frobenius residual declaring a factorization found (default %(default)s)")
+    p.add_argument("--seed", type=int, default=SearchBudget.seed, help="search seed (default %(default)s)")
 
 
 def _tolerance(args) -> Tolerance:
@@ -198,7 +198,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_json(args.input)
     p = crosstalk_from_config(cfg)
     grid = [float(a) for a in cfg["grid"]]
-    rows = sweep_alpha(p.real, grid, tol=tol, budget=_budget(args))
+    rows = sweep_alpha(p, grid, tol=tol, budget=_budget(args))
     table = {
         "d": p.shape[0],
         "rows": [row.to_json_dict() for row in rows],

@@ -157,8 +157,8 @@ def matrix_to_literal(m) -> list:
     """Row-major JSON literal: bare floats if real, [re, im] pairs otherwise."""
     a = as_matrix(m)
     if np.all(a.imag == 0.0):
-        return [[float(x) for x in row.real] for row in a]
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+        return a.real.tolist()
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def matrix_from_literal(rows) -> np.ndarray:

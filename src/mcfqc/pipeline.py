@@ -1,11 +1,12 @@
 """End-to-end certification protocol.
 
 The protocol sends one half of a maximally entangled pair through the fibre
-and certifies the entanglement of the output state. Every criterion is
-evaluated twice, once on the expanded density matrix and once through the
-closed-form specialized test; the two routes are mathematically equivalent,
-so any disagreement is raised as an internal-consistency error rather than
-reported.
+and certifies the entanglement of the output state: the Choi state, built
+once in closed form (the tests compare it with the one-sided application).
+Every criterion is evaluated twice, once on that dense state and once
+through the closed-form specialized test; the two routes are mathematically
+equivalent, so any disagreement is raised as an internal-consistency error
+rather than reported.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .channel import (
     apply,
     channel_to_config,
     choi,
-    extend_one_side,
     verify_cptp,
 )
 from .cones import Classification, ConeVerdict, SearchBudget, classify_ds
@@ -33,7 +33,6 @@ from .states import (
     DensityMatrix,
     is_ppt,
     max_coherent,
-    max_entangled,
     realignment_trace_norm,
     state_to_json,
 )
@@ -144,18 +143,12 @@ def run_protocol(
             )
         warnings = ("unphysical parameters",)
 
-    d = ch.d
-    output = extend_one_side(ch, max_entangled(d), force=force, tol=tol)
     choi_op = choi(ch, tol)
-    if np.abs(output.mat - choi_op.dm.mat).max() > 1e-12:
-        raise RuntimeError(
-            "internal consistency violation: one-sided application disagrees with the Choi form"
-        )
     cldui = cldui_from_choi(choi_op, tol)
 
-    ppt = is_ppt(output, tol)
+    ppt = is_ppt(choi_op.dm, tol)
     fast_ppt = cldui_is_ppt(cldui, tol)
-    realign_generic = realignment_trace_norm(output, tol)
+    realign_generic = realignment_trace_norm(choi_op.dm, tol)
     realign_fast = cldui_realignment_test(cldui, tol)
     _cross_check(ppt, fast_ppt, None)
     _cross_check(realign_generic, realign_fast, 1e-10)

@@ -52,13 +52,17 @@ class DensityMatrix:
     completely positive channel). Such matrices keep their Hermiticity
     guarantee but skip the trace and positivity checks, so that formal
     evaluations remain representable without pretending they are states.
+
+    ``choi``, ``apply``, ``extend_one_side`` and ``max_entangled`` skip the
+    two checks as well: ``verify_cptp`` has decided them under the caller's
+    tolerance, or a warning waives them. Every other constructor checks both.
     """
 
     mat: np.ndarray
     factors: tuple[int, int] | None = None
     warnings: tuple[str, ...] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, physicality: bool = True):
         a = as_matrix(self.mat)
         n = a.shape[0]
         if a.shape[1] != n:
@@ -70,7 +74,7 @@ class DensityMatrix:
                 raise ValueError(f"factors {self.factors} incompatible with dimension {n}")
             object.__setattr__(self, "factors", (int(da), int(db)))
         object.__setattr__(self, "warnings", tuple(self.warnings))
-        if not self.warnings:
+        if physicality and not self.warnings:
             tr = complex(np.trace(a))
             if abs(tr - 1.0) > DEFAULT_TOL.eq_tol:
                 raise ValueError(f"trace must be 1, got {tr}")
@@ -85,13 +89,22 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
+def _trusted(cls, **fields):
+    """Build a DensityMatrix or ClduiState without the physicality checks
+    that its class docstring names."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    obj.__post_init__(physicality=False)
+    return obj
+
+
 def max_entangled(d: int) -> DensityMatrix:
     """Projector onto (1/sqrt(d)) sum_i |ii>, tagged with factors (d, d)."""
     if d < 2:
         raise ValueError("maximally entangled state needs d >= 2")
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
-    return DensityMatrix(np.outer(v, v.conj()), factors=(d, d))
+    return _trusted(DensityMatrix, mat=np.outer(v, v.conj()), factors=(d, d), warnings=())
 
 
 def max_coherent(d: int) -> DensityMatrix:

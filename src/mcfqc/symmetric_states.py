@@ -12,8 +12,9 @@ Choi operator realizes that matrix outputs the partial transpose of a
 Dicke-diagonal state.
 
 Both specialized entanglement tests exploit structure. The partial
-transpose decomposes into 2 x 2 blocks, so positivity reduces to
-A_ij * A_ji >= |B_ij|^2. The realigned matrix decomposes exactly into the
+transpose is the weights A_ii plus 2 x 2 blocks [[A_ij, B_ij], [B_ji, A_ji]],
+so it is PSD iff (A_ij + A_ji)/2 >= sqrt(((A_ij - A_ji)/2)^2 + |B_ij|^2),
+the least block eigenvalue. The realigned matrix decomposes exactly into the
 weight table (on the index pairs (i,i)) plus a diagonal of coherences (on
 the pairs (i,j), i != j), so its trace norm is
 ||A||_tr + sum_{i != j} |B_ij|.
@@ -39,7 +40,7 @@ from .linalg import (
     pair_to_dense,
     trace_norm,
 )
-from .states import Conclusion, CriterionVerdict, DensityMatrix
+from .states import Conclusion, CriterionVerdict, DensityMatrix, _trusted
 
 
 @dataclass(frozen=True)
@@ -51,19 +52,23 @@ class ClduiState:
     non-empty ``warnings`` tuple waives the positivity requirement on the
     coherence block so that unphysical-parameter evaluations stay
     representable.
+
+    ``cldui_from_choi`` skips the distribution and positivity checks, which
+    ``verify_cptp`` has decided for the channel (see DensityMatrix).
     """
 
     weights: np.ndarray
     coherences: np.ndarray
     warnings: tuple[str, ...] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, physicality: bool = True):
         a = as_matrix(self.weights)
         d = a.shape[0]
         if a.shape[1] != d:
             raise ValueError("weight table must be square")
         a = checked_real(a, "weight table must be real").copy()
-        check_distribution(a, "weight table", "weight table entries")
+        if physicality:
+            check_distribution(a, "weight table", "weight table entries")
         b = as_matrix(self.coherences)
         if b.shape != (d, d):
             raise ValueError("coherence block must match the weight table shape")
@@ -71,7 +76,7 @@ class ClduiState:
         if np.abs(np.diag(a) - np.diag(b).real).max() > DEFAULT_TOL.eq_tol:
             raise ValueError("diagonals of the weight and coherence tables must agree")
         object.__setattr__(self, "warnings", tuple(self.warnings))
-        if not self.warnings:
+        if physicality and not self.warnings:
             ok, lo = is_psd(b)
             if not ok:
                 raise ValueError(f"coherence block not PSD (min eigenvalue {lo:.3e})")
@@ -144,16 +149,18 @@ def cldui_from_choi(j: ChoiOperator, tol: Tolerance = DEFAULT_TOL) -> ClduiState
     coherences = as_matrix(j.hat_block)
     if np.abs(np.diag(weights) - np.diag(coherences).real).max() > tol.eq_tol:
         raise ValueError("malformed Choi operator: hat-block diagonal disagrees with the state")
-    return ClduiState(weights, coherences, warnings=dm.warnings)
+    return _trusted(ClduiState, weights=weights, coherences=coherences, warnings=dm.warnings)
 
 
 def cldui_is_ppt(s: ClduiState, tol: Tolerance = DEFAULT_TOL) -> CriterionVerdict:
-    """Closed-form PPT test: min over pairs of A_ij * A_ji - |B_ij|^2."""
+    """Closed-form PPT test: the least eigenvalue over the 2 x 2 pair blocks
+    [[A_ij, B_ij], [B_ji, A_ji]], thresholded like the generic route."""
     a, b = s.weights, s.coherences
     off = ~np.eye(s.d, dtype=bool)
+    lows = (a + a.T) / 2 - np.sqrt(((a - a.T) / 2) ** 2 + np.abs(b) ** 2)
     # a single-core state has no pairs and is trivially PPT
-    value = float((a * a.T - np.abs(b) ** 2)[off].min()) if off.any() else 0.0
-    flag = Conclusion.ENTANGLED if value < -tol.eq_tol else Conclusion.INCONCLUSIVE
+    value = float(lows[off].min()) if off.any() else 0.0
+    flag = Conclusion.ENTANGLED if value < -tol.psd_floor else Conclusion.INCONCLUSIVE
     return CriterionVerdict("cldui-ppt", value, flag)
 
 
@@ -167,10 +174,11 @@ def cldui_realignment_test(s: ClduiState, tol: Tolerance = DEFAULT_TOL) -> Crite
     """
     a, b = s.weights, s.coherences
     off = ~np.eye(s.d, dtype=bool)
-    value = trace_norm(a) + float(np.abs(b[off]).sum())
+    a_norm = trace_norm(a)
+    value = a_norm + float(np.abs(b[off]).sum())
     flag = Conclusion.ENTANGLED if value > 1.0 + tol.eq_tol else Conclusion.INCONCLUSIVE
     details = {
-        "weights_one_norm_gap": entrywise_one_norm(a) - trace_norm(a),
+        "weights_one_norm_gap": entrywise_one_norm(a) - a_norm,
         "coherences_one_norm_gap": entrywise_one_norm(b) - trace_norm(b),
     }
     return CriterionVerdict("cldui-realignment", value, flag, details)

@@ -2,13 +2,16 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mcfqc.channel import channel_to_config
-from mcfqc.linalg import matrix_to_literal
+from mcfqc.cli import build_parser
+from mcfqc.cones import SearchBudget
+from mcfqc.linalg import Tolerance, matrix_to_literal
 from mcfqc.presets import BOUND6_M, DEMO_CROSSTALK_5
 from mcfqc.symmetric_states import channel_from_ds
 
@@ -26,10 +29,22 @@ def run_cli(*args):
     )
 
 
-def write_demo_channel(path: Path, alpha=-0.8) -> Path:
-    cfg = {"d": 5, "P": matrix_to_literal(DEMO_CROSSTALK_5), "alpha": {"uniform": alpha}}
+def write_uniform_channel(path: Path, p, alpha) -> Path:
+    cfg = {"d": len(p), "P": matrix_to_literal(p), "alpha": {"uniform": alpha}}
     target = path / "channel.json"
     target.write_text(json.dumps(cfg), encoding="utf-8")
+    return target
+
+
+def write_demo_channel(path: Path, alpha=-0.8) -> Path:
+    return write_uniform_channel(path, DEMO_CROSSTALK_5, alpha)
+
+
+def write_sweep(path: Path, p, grid) -> Path:
+    target = path / "sweep.json"
+    target.write_text(
+        json.dumps({"d": len(p), "P": matrix_to_literal(p), "grid": grid}), encoding="utf-8"
+    )
     return target
 
 
@@ -77,6 +92,56 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("mcfqc channel-check: error: ")
+
+
+class TestDefaults:
+    REQUIRED = {
+        "channel-check": ["-i", "x"], "apply": ["-i", "x"], "choi": ["-i", "x"],
+        "certify": ["-i", "x"], "design": ["-i", "x"], "cp-test": ["-i", "x"],
+        "sweep": ["-i", "x"], "demo-fig1": ["--outdir", "x"], "demo-bound6": ["--outdir", "x"],
+    }
+    BUDGETED = {"certify", "cp-test", "sweep", "demo-bound6"}
+
+    @pytest.mark.parametrize("sub", sorted(REQUIRED))
+    def test_parsed_defaults_are_the_dataclass_defaults(self, sub):
+        args = vars(build_parser().parse_args([sub, *self.REQUIRED[sub]]))
+        tol = asdict(Tolerance())
+        assert {k: args[k] for k in tol} == tol
+        budget = asdict(SearchBudget())
+        if sub in self.BUDGETED:
+            assert {k: args[k] for k in budget} == budget
+        else:
+            assert not budget.keys() & args.keys()
+
+
+class TestLoosenedTolerances:
+    # A channel that passes channel-check only under the loosened flag: the
+    # hat block's least eigenvalue is -2e-9 in the first case, and the first
+    # crosstalk row sums to 1 + 5e-9 in the second.
+    CASES = {
+        "psd-floor": (np.eye(3), -1.5 - 3e-9, ["--psd-floor", "1e-8"]),
+        "eq-tol": (np.array([[0.5 + 5e-9, 0.5], [0.5, 0.5]]), -0.5, ["--eq-tol", "1e-8"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_builders_agree_with_channel_check(self, tmp_path, case):
+        p, alpha, flags = self.CASES[case]
+        cfg = write_uniform_channel(tmp_path, p, alpha)
+        proc = run_cli("channel-check", "--input", str(cfg), *flags)
+        cptp = json.loads(proc.stdout)["cptp"]
+        assert cptp["tp_ok"] and cptp["cp_ok"]
+        for sub, key in (("choi", "choi"), ("apply", "state")):
+            proc = run_cli(sub, "--input", str(cfg), *flags)
+            assert proc.returncode == 0, proc.stderr
+            assert "warnings" not in json.loads(proc.stdout)[key]
+        proc = run_cli("certify", "--input", str(cfg), *flags, *FAST_SEARCH)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["cptp"] == cptp
+        assert report["warnings"] == []
+        proc = run_cli("sweep", "--input", str(write_sweep(tmp_path, p, [alpha])), *flags, *FAST_SEARCH)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["rows"][0]["cp_ok"] is True
 
 
 class TestChannelCheck:
@@ -169,6 +234,15 @@ class TestCertify:
         assert cone["factor"] is None
         assert set(cone["search"]) == SEARCH_KEYS
 
+    def test_ppt_boundary_channel(self, tmp_path):
+        # 1 + alpha = 0.1 + 1e-9 puts the pair-block eigenvalue at -5e-10,
+        # past psd_floor, and the 2 x 2 block determinant at only -5e-11.
+        cfg = write_uniform_channel(tmp_path, np.array([[0.9, 0.1], [0.1, 0.9]]), -0.899999999)
+        proc = run_cli("certify", "--input", str(cfg), *FAST_SEARCH)
+        assert proc.returncode == 0, proc.stderr
+        flags = {v["name"]: v["flag"] for v in json.loads(proc.stdout)["verdicts"]}
+        assert flags["ppt"] == flags["cldui-ppt"] == "entangled"
+
 
 class TestDesign:
     def test_bound6_designs_a_cptp_channel(self, tmp_path):
@@ -249,17 +323,19 @@ class TestCpTest:
 
 class TestSweep:
     def test_writes_table_and_heatmaps(self, tmp_path):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(
-            json.dumps({"d": 5, "P": matrix_to_literal(np.eye(5)), "grid": [0.0, -1.25, -2.0]}),
-            encoding="utf-8",
-        )
+        cfg = write_sweep(tmp_path, np.eye(5), [0.0, -1.25, -2.0])
         outdir = tmp_path / "out"
         proc = run_cli("sweep", "--input", str(cfg), "--outdir", str(outdir), *FAST_SEARCH)
         assert proc.returncode == 0
         table = json.loads((outdir / "sweep.json").read_text())
         assert [row["cp_ok"] for row in table["rows"]] == [True, True, False]
         assert (outdir / "action_alpha_-1.25.csv").exists()
+
+    def test_complex_crosstalk_is_rejected(self, tmp_path):
+        p = np.array([[0.9, 0.1 + 0.01j], [0.1, 0.9]])
+        proc = run_cli("sweep", "--input", str(write_sweep(tmp_path, p, [-1.0])), *FAST_SEARCH)
+        assert proc.returncode == 1
+        assert "crosstalk table must be real" in proc.stderr
 
 
 class TestDemoFig1:

@@ -1,12 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from mcfqc.channel import McfChannel
 from mcfqc.cones import Classification, SearchBudget
+from mcfqc.linalg import DEFAULT_TOL
 from mcfqc.pipeline import config_digest, run_protocol, sweep_alpha
 from mcfqc.presets import BOUND6_M, DEMO_CROSSTALK_5
 from mcfqc.sampling import random_cptp_channel
-from mcfqc.states import Conclusion, max_entangled
+from mcfqc.states import Conclusion, is_ppt, max_entangled, realignment_trace_norm
 from mcfqc.symmetric_states import channel_from_ds
 
 FAST_BUDGET = SearchBudget(restarts=10, max_iters=10_000, residual_target=1e-7, seed=0)
@@ -68,6 +73,59 @@ class TestRunProtocol:
                 abs(report.verdict("realignment").value - report.verdict("cldui-realignment").value)
                 < 1e-10
             )
+
+    def test_dense_verdicts_describe_the_reported_state(self):
+        rng = np.random.default_rng(12)
+        for d in (2, 3, 5, 8, 12):
+            report = run_protocol(random_cptp_channel(d, rng), budget=FAST_BUDGET)
+            dm = report.choi_op.dm
+            assert report.verdict("ppt").value == is_ppt(dm).value
+            assert report.verdict("realignment").value == realignment_trace_norm(dm).value
+
+    def test_decomposition_counts(self, monkeypatch):
+        # One dense eigensolve (PPT) and one dense SVD (realignment); the
+        # d x d ones are the two hat-block checks and the two closed-form
+        # trace norms.
+        calls = Counter()
+        for name in ("eigvalsh", "svd"):
+            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name, np.shape(a)[0]] += 1
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = run_protocol(random_cptp_channel(5, np.random.default_rng(13)), budget=FAST_BUDGET)
+        assert report.ds_section is None
+        assert calls == {("eigvalsh", 25): 1, ("svd", 25): 1, ("eigvalsh", 5): 2, ("svd", 5): 2}
+
+    @given(
+        d=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        mixing=st.floats(0.05, 0.45),
+        pair=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        # Both routes, and the construction below, round at about 1e-16
+        # absolute: that close to -psd_floor, rounding decides, not the state.
+        floors=st.floats(-4.0, 4.0).filter(lambda k: abs(k + 1.0) > 1e-4),
+        phase=st.floats(0.0, 2 * np.pi),
+    )
+    def test_routes_agree_at_the_ppt_edge(self, d, seed, mixing, pair, floors, phase):
+        # One coherent pair (i, j) whose 2 x 2 partial-transpose block has
+        # least eigenvalue floors * psd_floor; every other pair is fully
+        # dephased. A dominant diagonal keeps the channel CPTP.
+        i, j = (k % d for k in pair)
+        assume(i != j)
+        rng = np.random.default_rng(seed)
+        p = (1 - mixing) * np.eye(d) + mixing * rng.dirichlet(np.ones(d), size=d)
+        target = floors * DEFAULT_TOL.psd_floor
+        mean, half_gap = (p[i, j] + p[j, i]) / (2 * d), (p[i, j] - p[j, i]) / (2 * d)
+        assume(mean - target >= abs(half_gap))
+        alpha = -np.ones((d, d), dtype=complex)
+        alpha[i, j] = d * np.sqrt((mean - target) ** 2 - half_gap**2) * np.exp(1j * phase) - 1
+        alpha[j, i] = np.conj(alpha[i, j])
+        ch = McfChannel(p, alpha)
+        report = run_protocol(ch, budget=FAST_BUDGET)
+        assert report.cptp.cp_ok
+        expected = Conclusion.ENTANGLED if floors < -1 else Conclusion.INCONCLUSIVE
+        assert report.verdict("ppt").flag == report.verdict("cldui-ppt").flag == expected
 
     def test_report_payload_is_reproducible(self):
         ch = channel_from_ds(BOUND6_M)

@@ -132,7 +132,9 @@ class TestCldulCriteria:
     def test_bell_tables_are_npt(self):
         verdict = cldui_is_ppt(bell_pair_tables(3))
         assert verdict.flag == Conclusion.ENTANGLED
-        assert verdict.value == pytest.approx(-1 / 9, abs=1e-12)
+        assert verdict.value == pytest.approx(-1 / 3, abs=1e-12)
+        generic = is_ppt(cldui_to_density(bell_pair_tables(3)))
+        assert verdict.value == pytest.approx(generic.value, abs=1e-12)
 
     def test_fully_dephased_channel_is_ppt(self):
         ch = McfChannel.with_uniform_dephasing(DEMO_CROSSTALK_5, -1.0)
