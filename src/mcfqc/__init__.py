@@ -38,10 +38,8 @@ from .cones import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    diagonal_unitary,
     entrywise_one_norm,
     is_psd,
-    kron,
     matrix_from_literal,
     matrix_to_literal,
     trace_norm,
@@ -69,7 +67,6 @@ from .symmetric_states import (
     cldui_is_ppt,
     cldui_realignment_test,
     cldui_to_density,
-    dicke_basis,
     ds_from_m_matrix,
     ds_partial_transpose,
     ds_to_density,

@@ -225,35 +225,32 @@ def channel_from_choi(j, tol: Tolerance = DEFAULT_TOL):
     return action
 
 
-def cp_boundary_uniform_alpha(
-    crosstalk,
-    *,
-    tol: Tolerance = DEFAULT_TOL,
-    precision: float = 1e-12,
-) -> float:
-    """Most negative uniform real alpha keeping the channel completely positive.
+def cp_boundary_uniform_alpha(crosstalk, *, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Most negative uniform real alpha in [-2, -1] keeping the channel completely positive.
 
-    Located by bisection on the hat-block spectrum over alpha in [-2, a_hi],
-    where a_hi is a point known to be completely positive (alpha = -1 always
-    is, since the hat block is then diagonal).
+    With t = -(1 + alpha) >= 0, d * (hat + psd_floor * I) is
+    diag(P_ii + t + d * psd_floor) - t * J, which by the matrix determinant
+    lemma is PSD iff g(t) = t * sum_i 1 / (P_ii + t + d * psd_floor) <= 1.
+    That inequality decides the result, not an eigensolve: g increases with
+    t, and the result is -1 - t* for the largest double t* in [0, 1] with
+    g(t*) <= 1 (or -2 when g(1) <= 1). At the result the hat block's
+    computed least eigenvalue may round to just below -psd_floor.
     """
-    def cp_ok(alpha: float) -> bool:
-        ch = McfChannel.with_uniform_dephasing(crosstalk, alpha)
-        return verify_cptp(ch, tol).cp_ok
+    ch = McfChannel.with_uniform_dephasing(crosstalk, -1.0)
+    shifted = np.diag(ch.crosstalk) + ch.d * tol.psd_floor
 
-    lo = -2.0
-    if cp_ok(lo):
-        return lo
-    hi = -1.0
-    if not cp_ok(hi):
-        raise ValueError("channel is not completely positive even at alpha = -1")
-    while hi - lo > precision:
-        mid = 0.5 * (lo + hi)
-        if cp_ok(mid):
-            hi = mid
-        else:
+    def within(t: float) -> bool:
+        return t * float(np.sum(1.0 / (shifted + t))) <= 1.0
+
+    if within(1.0):
+        return -2.0
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if within(mid):
             lo = mid
-    return hi
+        else:
+            hi = mid
+    return -1.0 - lo
 
 
 def channel_to_config(ch: McfChannel) -> dict:

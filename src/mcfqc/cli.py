@@ -90,6 +90,12 @@ def _write_csv(path: Path, mat):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _alpha_label(alpha: float) -> str:
+    """Shortest text that round-trips alpha, without a trailing ".0", for file names."""
+    text = repr(alpha)
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _emit(args, obj) -> int:
     if getattr(args, "output", None):
         _write_json(Path(args.output), obj)
@@ -209,7 +215,7 @@ def cmd_sweep(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir / "sweep.json", table)
         for row in rows:
-            _write_csv(outdir / f"action_alpha_{row.alpha:g}.csv", np.abs(row.action))
+            _write_csv(outdir / f"action_alpha_{_alpha_label(row.alpha)}.csv", np.abs(row.action))
         return 0
     return _emit(args, table)
 
@@ -224,7 +230,7 @@ def cmd_demo_fig1(args) -> int:
     for alpha in DEMO_ALPHA_GRID:
         ch = McfChannel.with_uniform_dephasing(DEMO_CROSSTALK_5, alpha)
         out = apply(ch, rho, force=True, tol=tol)
-        name = f"heatmap_alpha_{alpha:g}.csv"
+        name = f"heatmap_alpha_{_alpha_label(alpha)}.csv"
         _write_csv(outdir / name, np.abs(out.mat))
         off = np.abs(out.mat[~np.eye(5, dtype=bool)])
         entries.append({
@@ -264,7 +270,7 @@ def cmd_demo_bound6(args) -> int:
         failures.append("derived channel is not trace-preserving")
     if not report.cptp.cp_ok:
         failures.append("derived channel is not completely positive")
-    if report.verdict("ppt").flag != Conclusion.INCONCLUSIVE:
+    if report.verdict("cldui-ppt").flag != Conclusion.INCONCLUSIVE:
         failures.append("protocol output is not PPT")
     ds = report.ds_section
     if ds is None:
@@ -372,7 +378,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, TypeError, RuntimeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         print(f"mcfqc {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

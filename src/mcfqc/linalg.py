@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tensor products are refused beyond this output dimension (64 per factor).
-MAX_KRON_DIM = 4096
-
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -131,26 +128,6 @@ def pair_to_dense(weights, coherences) -> np.ndarray:
     diag_pairs = np.arange(d) * (d + 1)
     mat[np.ix_(diag_pairs, diag_pairs)] = coherences
     return mat
-
-
-def kron(a, b, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
-    """Tensor product with a guard against runaway output dimensions."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    rows = ma.shape[0] * mb.shape[0]
-    cols = ma.shape[1] * mb.shape[1]
-    if rows > max_dim or cols > max_dim:
-        raise ValueError(
-            f"tensor product dimension {rows} x {cols} exceeds the limit {max_dim}"
-        )
-    return np.kron(ma, mb)
-
-
-def diagonal_unitary(phases) -> np.ndarray:
-    """diag(e^{i theta_0}, ..., e^{i theta_{d-1}}) for real phases."""
-    theta = np.asarray(phases, dtype=float)
-    if theta.ndim != 1 or theta.size < 1:
-        raise ValueError("phases must be a non-empty 1-D sequence of reals")
-    return np.diag(np.exp(1j * theta))
 
 
 def matrix_to_literal(m) -> list:

@@ -113,22 +113,6 @@ class DsState:
         object.__setattr__(self, "weights", w)
 
 
-def dicke_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal basis of the symmetric subspace, ordered by (i, j), i <= j."""
-    if d < 2:
-        raise ValueError("Dicke basis needs d >= 2")
-    basis = []
-    for i in range(d):
-        for j in range(i, d):
-            v = np.zeros(d * d, dtype=complex)
-            if i == j:
-                v[i * d + i] = 1.0
-            else:
-                v[i * d + j] = v[j * d + i] = 1.0 / np.sqrt(2.0)
-            basis.append(v)
-    return basis
-
-
 def cldui_to_density(s: ClduiState) -> DensityMatrix:
     """Expand the (weights, coherences) pair into a (d^2) x (d^2) state."""
     mat = pair_to_dense(s.weights, s.coherences)

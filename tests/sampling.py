@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import McfChannel
-from .states import DensityMatrix
-from .symmetric_states import ClduiState, DsState
+from mcfqc.channel import McfChannel
+from mcfqc.states import DensityMatrix
+from mcfqc.symmetric_states import ClduiState, DsState
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, factors=None) -> DensityMatrix:

@@ -23,14 +23,6 @@ from mcfqc.channel import (
 )
 from mcfqc.cones import Classification, SearchBudget, classify_ds, cp_factorize, cp_sufficient, is_dnn
 from mcfqc.presets import BOUND6_M, DEMO_ALPHA_GRID, DEMO_CROSSTALK_5
-from mcfqc.sampling import (
-    random_cldui_state,
-    random_cptp_channel,
-    random_density_matrix,
-    random_dnn_matrix,
-    random_ds_state,
-    random_separable_state,
-)
 from mcfqc.states import (
     DensityMatrix,
     is_ppt,
@@ -43,6 +35,15 @@ from mcfqc.symmetric_states import (
     cldui_realignment_test,
     cldui_to_density,
     ds_partial_transpose,
+)
+
+from sampling import (
+    random_cldui_state,
+    random_cptp_channel,
+    random_density_matrix,
+    random_dnn_matrix,
+    random_ds_state,
+    random_separable_state,
 )
 
 PINNED_BUDGET = SearchBudget(restarts=100, max_iters=100_000, residual_target=1e-7, seed=0)
@@ -101,7 +102,7 @@ def test_criterion_3_cp_window():
     worst = 0.0
     upper_ok = True
     for d in range(2, 8):
-        located = cp_boundary_uniform_alpha(np.eye(d), precision=1e-12)
+        located = cp_boundary_uniform_alpha(np.eye(d))
         worst = max(worst, abs(located - (-d / (d - 1))))
         at_zero = McfChannel.with_uniform_dephasing(np.eye(d), 0.0)
         upper_ok = upper_ok and verify_cptp(at_zero).cp_ok

@@ -14,9 +14,11 @@ from mcfqc.channel import (
     extend_one_side,
     verify_cptp,
 )
+from mcfqc.linalg import DEFAULT_TOL
 from mcfqc.presets import DEMO_CROSSTALK_5
-from mcfqc.sampling import random_cptp_channel, random_density_matrix
 from mcfqc.states import DensityMatrix, max_coherent, max_entangled
+
+from sampling import random_cptp_channel, random_density_matrix
 
 
 class TestConstruction:
@@ -187,9 +189,34 @@ class TestVerifyCptp:
         assert not report.tp_ok
 
     def test_boundary_by_bisection(self):
-        for d in (2, 5):
-            located = cp_boundary_uniform_alpha(np.eye(d), precision=1e-12)
-            assert located == pytest.approx(-d / (d - 1), abs=1e-9)
+        # g(t) = d t / (1 + t + d psd_floor) <= 1 gives t* = (1 + d psd_floor) / (d - 1);
+        # at d = 2 that lies past t = 1, and the window stops at alpha = -2.
+        floor = DEFAULT_TOL.psd_floor
+        for d in range(2, 8):
+            expected = max(-2.0, -d * (1 + floor) / (d - 1))
+            assert abs(cp_boundary_uniform_alpha(np.eye(d)) - expected) <= 1e-15
+
+    def test_boundary_on_random_crosstalk(self):
+        # Oracle: the hat block's least eigenvalue from numpy, independent of
+        # the determinant lemma the program decides with.
+        floor = DEFAULT_TOL.psd_floor
+
+        def hat_min(p, alpha):
+            h = np.full(p.shape, (1.0 + alpha) / len(p))
+            np.fill_diagonal(h, np.diag(p) / len(p))
+            return np.linalg.eigvalsh(h)[0]
+
+        for d in range(2, 10):
+            for k in range(4):
+                p = np.random.default_rng([d, k]).dirichlet(np.ones(d), size=d)
+                boundary = cp_boundary_uniform_alpha(p)
+                lo, hi = -2.0, -1.0  # floor-free edge, bisected on the eigensolve
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if hat_min(p, mid) >= 0.0 else (mid, hi)
+                assert boundary <= hi + 1e-11
+                assert hat_min(p, boundary) >= -floor - 1e-15
+                assert boundary == -2.0 or hat_min(p, boundary - 1e-6) < -floor
 
 
 class TestChannelFromChoi:

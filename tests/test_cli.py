@@ -205,7 +205,7 @@ class TestCertify:
         assert proc.returncode == 0
         report = json.loads((outdir / "report.json").read_text())
         names = {v["name"] for v in report["verdicts"]}
-        assert names == {"ppt", "cldui-ppt", "realignment", "cldui-realignment"}
+        assert names == {"cldui-ppt", "cldui-realignment"}
         assert (outdir / "output_state.csv").exists()
 
     def test_non_cp_channel_needs_force(self, tmp_path):
@@ -241,7 +241,25 @@ class TestCertify:
         proc = run_cli("certify", "--input", str(cfg), *FAST_SEARCH)
         assert proc.returncode == 0, proc.stderr
         flags = {v["name"]: v["flag"] for v in json.loads(proc.stdout)["verdicts"]}
-        assert flags["ppt"] == flags["cldui-ppt"] == "entangled"
+        assert flags["cldui-ppt"] == "entangled"
+
+    @pytest.mark.parametrize("p, coherence", [
+        ([[0.8267903866291353, 0.17320961337086482], [0.1311870754255553, 0.8688129245744447]],
+         -0.8492589549107668),
+        ([[0.8287159282458241, 0.17128407175417598], [0.19286768175682642, 0.8071323182431737]],
+         -0.818244224537628),
+    ])
+    def test_pair_block_within_rounding_of_the_floor(self, tmp_path, p, coherence):
+        # The least pair-block eigenvalue lies within about 1e-17 of
+        # -psd_floor, where the dense partial-transpose eigensolve and the
+        # closed form round to opposite sides; the report comes out.
+        cfg = tmp_path / "channel.json"
+        cfg.write_text(json.dumps(
+            {"d": 2, "P": p, "alpha": {"matrix": [[0.0, coherence], [coherence, 0.0]]}}
+        ), encoding="utf-8")
+        proc = run_cli("certify", "--input", str(cfg), *FAST_SEARCH)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["cptp"]["cp_ok"]
 
 
 class TestDesign:
@@ -330,6 +348,21 @@ class TestSweep:
         table = json.loads((outdir / "sweep.json").read_text())
         assert [row["cp_ok"] for row in table["rows"]] == [True, True, False]
         assert (outdir / "action_alpha_-1.25.csv").exists()
+
+    def test_close_alphas_get_their_own_files(self, tmp_path):
+        # The three alphas agree to 6 significant digits.
+        grid = [-1.2500001, -1.2500002, -1.25000035]
+        outdir = tmp_path / "out"
+        proc = run_cli("sweep", "--input", str(write_sweep(tmp_path, np.eye(3), grid)),
+                       "--outdir", str(outdir), *FAST_SEARCH)
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads((outdir / "sweep.json").read_text())["rows"]
+        assert sorted(f.name for f in outdir.glob("*.csv")) == sorted(
+            f"action_alpha_{alpha!r}.csv" for alpha in grid
+        )
+        for row in rows:
+            written = np.loadtxt(outdir / f"action_alpha_{row['alpha']!r}.csv", delimiter=",")
+            assert np.array_equal(written, np.array(row["action_abs"]))
 
     def test_complex_crosstalk_is_rejected(self, tmp_path):
         p = np.array([[0.9, 0.1 + 0.01j], [0.1, 0.9]])

@@ -11,9 +11,10 @@ from mcfqc.cones import (
     is_dnn,
 )
 from mcfqc.presets import BOUND6_M
-from mcfqc.sampling import random_dnn_matrix
 from mcfqc.states import Conclusion, is_ppt
 from mcfqc.symmetric_states import ds_from_m_matrix, ds_to_density
+
+from sampling import random_dnn_matrix
 
 FAST_BUDGET = SearchBudget(restarts=20, max_iters=20_000, residual_target=1e-7, seed=0)
 

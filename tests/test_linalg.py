@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from mcfqc.channel import McfChannel, hat_block
 from mcfqc.linalg import (
     Tolerance,
-    diagonal_unitary,
     entrywise_one_norm,
     is_psd,
-    kron,
     matrix_from_literal,
     matrix_to_literal,
     trace_norm,
@@ -116,48 +112,6 @@ class TestIsPsd:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             is_psd(np.ones((2, 3)))
-
-
-class TestKron:
-    def test_block_diagonal_structure(self):
-        m = np.array([[1, 2], [3, 4]], dtype=complex)
-        out = kron(np.eye(2), m)
-        assert np.array_equal(out[:2, :2], m)
-        assert np.array_equal(out[2:, 2:], m)
-        assert np.abs(out[:2, 2:]).max() == 0.0
-
-    def test_dimensions_multiply(self):
-        assert kron(np.ones((2, 2)), np.ones((3, 3))).shape == (6, 6)
-
-    def test_mixed_product_identity(self):
-        rng = np.random.default_rng(11)
-        a, b, c, d = (random_complex(2, rng) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-    def test_dimension_guard(self):
-        big = np.ones((70, 70))
-        with pytest.raises(ValueError, match="exceeds"):
-            kron(big, big)
-
-
-class TestDiagonalUnitary:
-    def test_zero_phases_give_identity(self):
-        assert np.array_equal(diagonal_unitary([0.0, 0.0, 0.0]), np.eye(3))
-
-    def test_half_turn(self):
-        u = diagonal_unitary([0.0, np.pi])
-        assert np.allclose(u, np.diag([1.0, -1.0]), atol=1e-15)
-
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=12))
-    def test_unitarity(self, phases):
-        u = diagonal_unitary(phases)
-        assert np.abs(u @ u.conj().T - np.eye(len(phases))).max() < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            diagonal_unitary([])
 
 
 class TestTolerance:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcfqc.sampling import random_density_matrix, random_separable_state
 from mcfqc.states import (
     Conclusion,
     DensityMatrix,
@@ -19,6 +18,8 @@ from mcfqc.states import (
 )
 from mcfqc.presets import BOUND6_M
 from mcfqc.symmetric_states import ds_from_m_matrix, ds_to_density
+
+from sampling import random_density_matrix, random_separable_state
 
 
 def loop_partial_trace(mat, da, db, traced):

@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mcfqc.channel import McfChannel, choi, verify_cptp
-from mcfqc.linalg import diagonal_unitary, trace_norm
+from mcfqc.linalg import trace_norm
 from mcfqc.presets import BOUND6_M, DEMO_CROSSTALK_5
-from mcfqc.sampling import random_cldui_state, random_cptp_channel, random_ds_state
 from mcfqc.states import (
     Conclusion,
     is_ppt,
@@ -22,12 +21,27 @@ from mcfqc.symmetric_states import (
     cldui_is_ppt,
     cldui_realignment_test,
     cldui_to_density,
-    dicke_basis,
     ds_from_m_matrix,
     ds_partial_transpose,
     ds_to_density,
     m_matrix,
 )
+
+from sampling import random_cldui_state, random_cptp_channel, random_ds_state
+
+
+def dicke_basis(d: int) -> list[np.ndarray]:
+    """Orthonormal basis of the symmetric subspace, ordered by (i, j), i <= j."""
+    basis = []
+    for i in range(d):
+        for j in range(i, d):
+            v = np.zeros(d * d, dtype=complex)
+            if i == j:
+                v[i * d + i] = 1.0
+            else:
+                v[i * d + j] = v[j * d + i] = 1.0 / np.sqrt(2.0)
+            basis.append(v)
+    return basis
 
 
 def bell_pair_tables(d):
@@ -100,7 +114,7 @@ class TestCldulDensity:
             d = 2 + trial % 4
             rho = cldui_to_density(random_cldui_state(d, rng)).mat
             for _ in range(5):
-                u = diagonal_unitary(rng.uniform(0, 2 * np.pi, size=d))
+                u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=d)))
                 w = np.kron(u, u.conj())
                 assert np.abs(w @ rho @ w.conj().T - rho).max() < 1e-12
 
