@@ -64,11 +64,22 @@ class TestRunProtocol:
         assert report.warnings == ("unphysical parameters",)
         assert not report.cptp.cp_ok
 
+    def test_redundant_routes_always_agree(self):
+        # The closed-form route of each criterion and the dense route on the
+        # reported state reach the same flag.
+        rng = np.random.default_rng(0)
+        for trial in range(20):
+            d = 2 + trial % 5
+            report = run_protocol(random_cptp_channel(d, rng), budget=FAST_BUDGET)
+            dm = report.choi_op.dm
+            assert report.verdict("cldui-ppt").flag == is_ppt(dm).flag
+            assert report.verdict("cldui-realignment").flag == realignment_trace_norm(dm).flag
+
     def test_dense_verdicts_describe_the_reported_state(self):
         # The dense criteria on the reported state are the oracle for the
-        # closed-form verdicts: same flags, and the same values to rounding.
-        # The partial transpose's spectrum is the pair-block eigenvalues plus
-        # the weights A_ii, so the dense minimum also takes those in.
+        # closed-form values, to rounding. The partial transpose's spectrum is
+        # the pair-block eigenvalues plus the weights A_ii, so the dense
+        # minimum also takes those in.
         rng = np.random.default_rng(12)
         for trial in range(25):
             d = (2, 3, 4, 5, 6, 8, 12)[trial % 7]
