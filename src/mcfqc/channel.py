@@ -121,8 +121,7 @@ def verify_cptp(ch: McfChannel, tol: Tolerance = DEFAULT_TOL) -> CptpReport:
     return CptpReport(tp_ok, cp_ok, tuple(float(r) for r in residuals), lo)
 
 
-def _physicality_warnings(ch: McfChannel, tol: Tolerance, force: bool) -> tuple[str, ...]:
-    report = verify_cptp(ch, tol)
+def _physicality_warnings(report: CptpReport, force: bool) -> tuple[str, ...]:
     warnings = []
     if not report.tp_ok:
         if not force:
@@ -159,15 +158,20 @@ def apply(
     """
     if rho.dim != ch.d:
         raise ValueError(f"dimension mismatch: channel has {ch.d} cores, state has {rho.dim}")
-    warnings = _physicality_warnings(ch, tol, force) + rho.warnings
+    warnings = _physicality_warnings(verify_cptp(ch, tol), force) + rho.warnings
     return _trusted(DensityMatrix, mat=_act(ch, rho.mat), factors=rho.factors, warnings=warnings)
 
 
 def choi(ch: McfChannel, tol: Tolerance = DEFAULT_TOL) -> ChoiOperator:
     """Closed-form Choi operator (equals feeding half of |Psi+> through the fibre)."""
+    return _choi(ch, verify_cptp(ch, tol))
+
+
+def _choi(ch: McfChannel, cptp: CptpReport) -> ChoiOperator:
+    """The Choi operator, its warnings read from a verify_cptp report the caller holds."""
     d = ch.d
     h = hat_block(ch)
-    warnings = _physicality_warnings(ch, tol, force=True)
+    warnings = _physicality_warnings(cptp, force=True)
     dm = _trusted(DensityMatrix, mat=pair_to_dense(ch.crosstalk / d, h), factors=(d, d), warnings=warnings)
     return ChoiOperator(dm, h)
 
@@ -187,7 +191,7 @@ def extend_one_side(
     d = ch.d
     if rho.factors != (d, d):
         raise ValueError(f"state must carry factors ({d}, {d}) to extend one side")
-    warnings = _physicality_warnings(ch, tol, force) + rho.warnings
+    warnings = _physicality_warnings(verify_cptp(ch, tol), force) + rho.warnings
     t = rho.mat.reshape(d, d, d, d)
     out = np.empty_like(t)
     for i in range(d):

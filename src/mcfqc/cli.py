@@ -3,14 +3,20 @@
 Exit codes: 0 on success, 1 on a validation error (the failed condition is
 named on stderr), 2 on an I/O error. All numeric file output is written at
 full double precision so that golden files can be diffed without tolerances.
+Every JSON output, to stdout or to a file, is byte for byte
+``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, written by one
+writer, ``_dump_json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +83,83 @@ def _load_json(path: str) -> dict:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The text of json.dumps(obj, indent=2, sort_keys=True) plus a newline.
+
+    With indent set, the stdlib leaves its C encoder and formats every float
+    of a dense output state through a Python generator. This writer makes
+    the same text and formats a whole row of finite floats, or of
+    [float, float] pairs, in one C-level call.
+    """
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(obj, nl: str, out: list[str]) -> None:
+    # nl is a newline plus the indent of the line on which obj closes.
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        row = _row_text(obj, inner)
+        if row is not None:
+            out += "[", inner, row, nl, "]"
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out += nl, "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out += sep, encode_basestring_ascii(key), ": "
+            _encode(obj[key], inner, out)
+            sep = "," + inner
+        out += nl, "}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _row_text(row, inner: str) -> str | None:
+    """The text between the brackets of a non-empty list of finite floats or
+    of [float, float] pairs, whose items start on inner; None for any other list."""
+    kinds = set(map(type, row))
+    if kinds == {float}:
+        if all(map(math.isfinite, row)):
+            return ("," + inner).join(map(float.__repr__, row))
+    elif kinds == {list} and set(map(len, row)) == {2}:
+        flat = tuple(chain.from_iterable(row))
+        if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+            pair_inner = inner + "  "
+            pair = "[" + pair_inner + "%r," + pair_inner + "%r" + inner + "]"
+            return ("," + inner).join([pair] * len(row)) % flat
+    return None
 
 
 def _write_json(path: Path, obj):
@@ -85,8 +167,8 @@ def _write_json(path: Path, obj):
 
 
 def _write_csv(path: Path, mat):
-    rows = np.asarray(mat, dtype=float)
-    lines = [",".join(repr(float(x)) for x in row) for row in rows]
+    rows = np.asarray(mat, dtype=float).tolist()
+    lines = [",".join(map(float.__repr__, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

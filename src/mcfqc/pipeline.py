@@ -21,9 +21,9 @@ from .channel import (
     ChoiOperator,
     CptpReport,
     McfChannel,
+    _choi,
     apply,
     channel_to_config,
-    choi,
     verify_cptp,
 )
 from .cones import Classification, ConeVerdict, SearchBudget, classify_ds
@@ -125,7 +125,7 @@ def run_protocol(
             )
         warnings = ("unphysical parameters",)
 
-    choi_op = choi(ch, tol)
+    choi_op = _choi(ch, cptp)
     cldui = cldui_from_choi(choi_op, tol)
     verdicts = (cldui_is_ppt(cldui, tol), cldui_realignment_test(cldui, tol))
 
@@ -187,9 +187,11 @@ def sweep_alpha(
     mode rather than skipped.
     """
     rows = []
+    probe = input_state
     for alpha in grid:
         ch = McfChannel.with_uniform_dephasing(crosstalk, float(alpha))
-        probe = input_state if input_state is not None else max_coherent(ch.d)
+        if probe is None:
+            probe = max_coherent(ch.d)
         report = run_protocol(ch, tol=tol, budget=budget, force=True)
         action = apply(ch, probe, force=True, tol=tol)
         rows.append(SweepRow(float(alpha), report.cptp.cp_ok, report.verdicts, action.mat))

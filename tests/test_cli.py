@@ -7,13 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mcfqc import cli
 from mcfqc.channel import channel_to_config
 from mcfqc.cli import build_parser
 from mcfqc.cones import SearchBudget
 from mcfqc.linalg import Tolerance, matrix_to_literal
 from mcfqc.presets import BOUND6_M, DEMO_CROSSTALK_5
 from mcfqc.symmetric_states import channel_from_ds
+
+from sampling import random_cptp_channel
 
 FAST_SEARCH = ["--restarts", "5", "--max-iters", "5000"]
 # Nonnegative factor of an order-5 matrix that the reduced search factorizes.
@@ -413,3 +418,91 @@ class TestDemoBound6:
         for out in (out1, out2):
             assert run_cli("demo-bound6", "--outdir", str(out), *FAST_SEARCH).returncode == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def stdlib_dump(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, float("inf"), -float("inf"), float("nan")]),
+)
+# Lists that look like the writer's fast rows but must take its generic path.
+NEAR_MISSES = st.sampled_from([
+    [1.0, 2], [1.0], [True, 1.0], [1.0, 2.0, 3.0], [float("nan"), 1.0], (1.0, 2.0),
+    [np.float64(0.1), 1.0], [],
+])
+ROWS = st.one_of(
+    st.lists(FLOATS),
+    st.lists(st.one_of(st.lists(FLOATS, min_size=2, max_size=2), NEAR_MISSES)),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, FLOATS.map(np.float64),
+    st.text(), st.sampled_from(["\u00e9\u4e2d\U0001f600", "\x00\x1f\t\"\\", ""]),
+)
+JSON_TREES = st.recursive(
+    st.one_of(SCALARS, ROWS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def _certify_at(d):
+    def argv(tmp_path):
+        ch = random_cptp_channel(d, np.random.default_rng(d))
+        cfg = tmp_path / "channel.json"
+        cfg.write_text(json.dumps(channel_to_config(ch)), encoding="utf-8")
+        return ["certify", "--input", str(cfg), *FAST_SEARCH]
+    return argv
+
+
+CLI_OUTPUTS = {
+    **{f"certify-d{d}": _certify_at(d) for d in (2, 3, 6, 9, 16)},
+    "certify-forced": lambda t: [
+        "certify", "--input", str(write_demo_channel(t, alpha=-1.2)), "--force", *FAST_SEARCH],
+    "demo-bound6": lambda t: ["demo-bound6", "--outdir", str(t / "b6"), "--restarts", "3"],
+    "cp-test-factor-search": lambda t: [
+        "cp-test", "--input", str(write_bound6(t, PLANTED_CP_5 @ PLANTED_CP_5.T)), *FAST_SEARCH],
+    "sweep": lambda t: [
+        "sweep", "--input", str(write_sweep(t, DEMO_CROSSTALK_5, [0.0, -0.8, -1.2])), *FAST_SEARCH],
+    "choi": lambda t: ["choi", "--input", str(write_demo_channel(t))],
+    "apply": lambda t: ["apply", "--input", str(write_demo_channel(t, alpha=-1.2)), "--force"],
+    "channel-check": lambda t: ["channel-check", "--input", str(write_demo_channel(t))],
+    "design": lambda t: ["design", "--input", str(write_bound6(t))],
+}
+
+
+class TestDumpJson:
+    """cli._dump_json writes the stdlib's indent=2, sort_keys=True text."""
+
+    @given(JSON_TREES)
+    def test_matches_stdlib(self, obj):
+        assert cli._dump_json(obj) == stdlib_dump(obj)
+
+    @pytest.mark.parametrize("case", sorted(CLI_OUTPUTS))
+    def test_matches_stdlib_on_cli_outputs(self, tmp_path, monkeypatch, capsys, case):
+        written = []
+        dump = cli._dump_json
+
+        def recording(obj):
+            written.append(obj)
+            return dump(obj)
+
+        monkeypatch.setattr(cli, "_dump_json", recording)
+        assert cli.main(CLI_OUTPUTS[case](tmp_path)) == 0
+        assert written
+        for obj in written:
+            assert dump(obj) == stdlib_dump(obj)
+
+    @pytest.mark.parametrize("obj", [{"m": np.eye(2)}, [1.0, np.int64(3)], [[1.0, np.bool_(True)]]])
+    def test_rejects_what_the_stdlib_rejects(self, obj):
+        with pytest.raises(TypeError) as expected:
+            stdlib_dump(obj)
+        with pytest.raises(TypeError) as raised:
+            cli._dump_json(obj)
+        assert str(raised.value) == str(expected.value)

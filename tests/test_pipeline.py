@@ -62,6 +62,7 @@ class TestRunProtocol:
             run_protocol(ch, budget=FAST_BUDGET)
         report = run_protocol(ch, budget=FAST_BUDGET, force=True)
         assert report.warnings == ("unphysical parameters",)
+        assert report.choi_op.dm.warnings == ("not completely positive",)
         assert not report.cptp.cp_ok
 
     def test_redundant_routes_always_agree(self):
@@ -94,8 +95,8 @@ class TestRunProtocol:
             assert abs(realign.value - dense_realign.value) < 1e-10
 
     def test_decomposition_counts(self, monkeypatch):
-        # No d^2 x d^2 decomposition: the d x d ones are the two hat-block
-        # checks and the two closed-form trace norms.
+        # No d^2 x d^2 decomposition: the d x d ones are the one hat-block
+        # check and the two closed-form trace norms.
         calls = Counter()
         for name in ("eigvalsh", "svd"):
             def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
@@ -105,7 +106,7 @@ class TestRunProtocol:
             monkeypatch.setattr(np.linalg, name, counted)
         report = run_protocol(random_cptp_channel(5, np.random.default_rng(13)), budget=FAST_BUDGET)
         assert report.ds_section is None
-        assert calls == {("eigvalsh", 5): 2, ("svd", 5): 2}
+        assert calls == {("eigvalsh", 5): 1, ("svd", 5): 2}
 
     @given(
         d=st.integers(2, 6),
