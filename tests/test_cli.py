@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mcfqc import cli
-from mcfqc.channel import channel_to_config
+from mcfqc.channel import channel_to_config, cp_boundary_uniform_alpha
 from mcfqc.cli import build_parser
 from mcfqc.cones import SearchBudget
 from mcfqc.linalg import Tolerance, matrix_to_literal
@@ -461,8 +461,19 @@ def _certify_at(d):
     return argv
 
 
+def _certify_uniform_at(d):
+    # Uniform real dephasing inside the CP interval: the output state is real,
+    # so its rows are plain floats rather than [re, im] pairs.
+    def argv(tmp_path):
+        p = random_cptp_channel(d, np.random.default_rng(d)).crosstalk
+        alpha = (cp_boundary_uniform_alpha(p) - 1.0) / 2
+        return ["certify", "--input", str(write_uniform_channel(tmp_path, p, alpha)), *FAST_SEARCH]
+    return argv
+
+
 CLI_OUTPUTS = {
     **{f"certify-d{d}": _certify_at(d) for d in (2, 3, 6, 9, 16)},
+    "certify-uniform-d9": _certify_uniform_at(9),
     "certify-forced": lambda t: [
         "certify", "--input", str(write_demo_channel(t, alpha=-1.2)), "--force", *FAST_SEARCH],
     "demo-bound6": lambda t: ["demo-bound6", "--outdir", str(t / "b6"), "--restarts", "3"],
