@@ -81,10 +81,23 @@ class McfChannel:
 
 @dataclass(frozen=True)
 class ChoiOperator:
-    """Choi state of a fibre channel plus its d x d coherence block."""
+    """Choi state of a fibre channel, held as its pair of d x d tables.
 
-    dm: DensityMatrix
+    ``weights`` (P / d) sits on the diagonal at |ij><ij| and ``hat_block``
+    at |ii><jj|; every other entry of the d^2 x d^2 state is zero.
+    ``warnings`` marks a channel outside the physical window. ``dm`` builds
+    the dense state on each access, for the callers that need the matrix.
+    """
+
+    weights: np.ndarray
     hat_block: np.ndarray
+    warnings: tuple[str, ...]
+
+    @property
+    def dm(self) -> DensityMatrix:
+        d = self.hat_block.shape[0]
+        mat = pair_to_dense(self.weights, self.hat_block)
+        return _trusted(DensityMatrix, mat=mat, factors=(d, d), warnings=self.warnings)
 
 
 @dataclass(frozen=True)
@@ -156,9 +169,14 @@ def apply(
     sets is permitted; the result then carries a warning marker instead of
     pretending to be a physical state.
     """
+    return _apply(ch, rho, verify_cptp(ch, tol), force)
+
+
+def _apply(ch: McfChannel, rho: DensityMatrix, cptp: CptpReport, force: bool) -> DensityMatrix:
+    """apply, its warnings read from a verify_cptp report the caller holds."""
     if rho.dim != ch.d:
         raise ValueError(f"dimension mismatch: channel has {ch.d} cores, state has {rho.dim}")
-    warnings = _physicality_warnings(verify_cptp(ch, tol), force) + rho.warnings
+    warnings = _physicality_warnings(cptp, force) + rho.warnings
     return _trusted(DensityMatrix, mat=_act(ch, rho.mat), factors=rho.factors, warnings=warnings)
 
 
@@ -169,11 +187,7 @@ def choi(ch: McfChannel, tol: Tolerance = DEFAULT_TOL) -> ChoiOperator:
 
 def _choi(ch: McfChannel, cptp: CptpReport) -> ChoiOperator:
     """The Choi operator, its warnings read from a verify_cptp report the caller holds."""
-    d = ch.d
-    h = hat_block(ch)
-    warnings = _physicality_warnings(cptp, force=True)
-    dm = _trusted(DensityMatrix, mat=pair_to_dense(ch.crosstalk / d, h), factors=(d, d), warnings=warnings)
-    return ChoiOperator(dm, h)
+    return ChoiOperator(ch.crosstalk / ch.d, hat_block(ch), _physicality_warnings(cptp, force=True))
 
 
 def extend_one_side(

@@ -86,7 +86,7 @@ def _dump_json(obj) -> str:
     """The text of json.dumps(obj, indent=2, sort_keys=True) plus a newline.
 
     With indent set, the stdlib leaves its C encoder and formats every float
-    of a dense output state through a Python generator. This writer makes
+    of a report's matrices through a Python generator. This writer makes
     the same text and formats a whole row of finite floats, or of
     [float, float] pairs, in one C-level call.
     """
@@ -252,7 +252,6 @@ def cmd_certify(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir / "report.json", obj)
         if args.csv:
-            _write_csv(outdir / "output_state.csv", np.abs(report.choi_op.dm.mat))
             _write_csv(outdir / "cldui_weights.csv", np.abs(report.cldui.weights))
             _write_csv(outdir / "cldui_coherences.csv", np.abs(report.cldui.coherences))
         return 0

@@ -2,11 +2,12 @@
 
 The protocol sends one half of a maximally entangled pair through the fibre
 and certifies the entanglement of the output state: the Choi state, built
-once in closed form (the tests compare it with the one-sided application).
-That state is fixed by its (weights, coherences) pair, and each criterion is
-decided once, by the closed-form test on that pair. The dense criteria of
-``states`` are mathematically equivalent; the tests keep them as the
-reference the closed forms are checked against.
+in closed form as its (weights, coherences) pair of d x d tables (the tests
+compare its dense expansion with the one-sided application). Each criterion
+is decided once, by the closed-form test on that pair, and the report
+carries the pair as its ``cldui`` section; no d^2 x d^2 matrix is built.
+The dense criteria of ``states`` are mathematically equivalent; the tests
+keep them as the reference the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from .channel import (
     ChoiOperator,
     CptpReport,
     McfChannel,
+    _apply,
     _choi,
-    apply,
     channel_to_config,
     verify_cptp,
 )
 from .cones import Classification, ConeVerdict, SearchBudget, classify_ds
 from .linalg import DEFAULT_TOL, Tolerance, matrix_to_literal
-from .states import CriterionVerdict, DensityMatrix, max_coherent, state_to_json
+from .states import CriterionVerdict, DensityMatrix, max_coherent
 from .symmetric_states import (
     ClduiState,
     cldui_from_choi,
@@ -67,7 +68,6 @@ class CertificationReport:
         obj = {
             "channel": channel_to_config(self.channel),
             "cptp": self.cptp.to_json_dict(),
-            "output_state": state_to_json(self.choi_op.dm),
             "cldui": {
                 "weights": matrix_to_literal(self.cldui.weights),
                 "coherences": matrix_to_literal(self.cldui.coherences),
@@ -107,8 +107,8 @@ def run_protocol(
 ) -> CertificationReport:
     """Generate the protocol output state and certify it from its table pair.
 
-    The report carries the dense Choi state and the closed-form PPT and
-    realignment verdicts on its (weights, coherences) pair, each decided
+    The report carries the Choi state as its (weights, coherences) pair and
+    the closed-form PPT and realignment verdicts on that pair, each decided
     once. Requires a trace-preserving channel. A channel outside the
     completely positive window is refused unless forced, in which case the
     report is marked as an unphysical-parameter evaluation and the criteria
@@ -193,6 +193,6 @@ def sweep_alpha(
         if probe is None:
             probe = max_coherent(ch.d)
         report = run_protocol(ch, tol=tol, budget=budget, force=True)
-        action = apply(ch, probe, force=True, tol=tol)
+        action = _apply(ch, probe, report.cptp, force=True)
         rows.append(SweepRow(float(alpha), report.cptp.cp_ok, report.verdicts, action.mat))
     return rows

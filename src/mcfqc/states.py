@@ -53,9 +53,10 @@ class DensityMatrix:
     guarantee but skip the trace and positivity checks, so that formal
     evaluations remain representable without pretending they are states.
 
-    ``choi``, ``apply``, ``extend_one_side`` and ``max_entangled`` skip the
-    two checks as well: ``verify_cptp`` has decided them under the caller's
-    tolerance, or a warning waives them. Every other constructor checks both.
+    ``ChoiOperator.dm``, ``apply``, ``extend_one_side`` and ``max_entangled``
+    skip the two checks as well: ``verify_cptp`` has decided them under the
+    caller's tolerance, or a warning waives them. Every other constructor
+    checks both.
     """
 
     mat: np.ndarray

@@ -123,17 +123,14 @@ def cldui_from_choi(j: ChoiOperator, tol: Tolerance = DEFAULT_TOL) -> ClduiState
     """Read the (weights, coherences) pair off a fibre-channel Choi operator.
 
     The weights are the crosstalk probabilities over d; the coherence block
-    is the Choi hat block.
+    is the Choi hat block. Both are read from the operator's tables, never
+    from its dense state.
     """
-    dm = j.dm
-    if dm.factors is None or dm.factors[0] != dm.factors[1]:
-        raise ValueError("Choi operator must carry square bipartite factors")
-    d = dm.factors[0]
-    weights = np.diag(dm.mat).real.reshape(d, d)
+    weights = j.weights
     coherences = as_matrix(j.hat_block)
     if np.abs(np.diag(weights) - np.diag(coherences).real).max() > tol.eq_tol:
-        raise ValueError("malformed Choi operator: hat-block diagonal disagrees with the state")
-    return _trusted(ClduiState, weights=weights, coherences=coherences, warnings=dm.warnings)
+        raise ValueError("malformed Choi operator: hat-block diagonal disagrees with the weights")
+    return _trusted(ClduiState, weights=weights, coherences=coherences, warnings=j.warnings)
 
 
 def cldui_is_ppt(s: ClduiState, tol: Tolerance = DEFAULT_TOL) -> CriterionVerdict:

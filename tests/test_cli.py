@@ -211,7 +211,23 @@ class TestCertify:
         report = json.loads((outdir / "report.json").read_text())
         names = {v["name"] for v in report["verdicts"]}
         assert names == {"cldui-ppt", "cldui-realignment"}
-        assert (outdir / "output_state.csv").exists()
+        assert (outdir / "cldui_weights.csv").exists()
+        assert (outdir / "cldui_coherences.csv").exists()
+        assert not (outdir / "output_state.csv").exists()
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # Pinned across commits. Unlike the choi output, these bytes take in
+        # LAPACK results: the hat-block eigenvalue and the trace norms.
+        cfg = write_demo_channel(tmp_path)
+        reports = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            proc = run_cli("certify", "--input", str(cfg), "--outdir", str(out))
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert hashlib.sha256(reports[0]).hexdigest() == (
+            "0fc3fc9e1f7e7836588e3f8cf868ac5da061cb76d655fe5388602db85a75e27a"
+        )
 
     def test_non_cp_channel_needs_force(self, tmp_path):
         cfg = write_demo_channel(tmp_path, alpha=-1.2)
@@ -230,7 +246,7 @@ class TestCertify:
         assert proc.returncode == 0, proc.stderr
         obj = json.loads(proc.stdout)
         assert set(obj) == {
-            "channel", "cptp", "output_state", "cldui", "verdicts",
+            "channel", "cptp", "cldui", "verdicts",
             "ds_section", "provenance", "warnings", "tolerances",
         }
         assert set(obj["ds_section"]) == {"m", "classification", "cone"}

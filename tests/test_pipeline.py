@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from mcfqc.channel import McfChannel
+import mcfqc.channel
+import mcfqc.linalg
+from mcfqc import cli
+from mcfqc.channel import McfChannel, channel_to_config
 from mcfqc.cones import Classification, SearchBudget
 from mcfqc.linalg import DEFAULT_TOL
 from mcfqc.pipeline import config_digest, run_protocol, sweep_alpha
@@ -16,6 +20,28 @@ from mcfqc.symmetric_states import channel_from_ds
 from sampling import random_cptp_channel
 
 FAST_BUDGET = SearchBudget(restarts=10, max_iters=10_000, residual_target=1e-7, seed=0)
+
+
+def count_decompositions(monkeypatch) -> Counter:
+    """Count numpy's eigvalsh and svd calls by name and matrix order."""
+    calls = Counter()
+    for name in ("eigvalsh", "svd"):
+        def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name, np.shape(a)[0]] += 1
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.fixture
+def no_dense_state(monkeypatch):
+    """Make every expansion of a table pair to its d^2 x d^2 matrix fail."""
+    def refuse(*args):
+        raise AssertionError("a dense d^2 x d^2 state was built")
+
+    monkeypatch.setattr(mcfqc.linalg, "pair_to_dense", refuse)
+    monkeypatch.setattr(mcfqc.channel, "pair_to_dense", refuse)
 
 
 class TestRunProtocol:
@@ -97,13 +123,7 @@ class TestRunProtocol:
     def test_decomposition_counts(self, monkeypatch):
         # No d^2 x d^2 decomposition: the d x d ones are the one hat-block
         # check and the two closed-form trace norms.
-        calls = Counter()
-        for name in ("eigvalsh", "svd"):
-            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-                calls[_name, np.shape(a)[0]] += 1
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_decompositions(monkeypatch)
         report = run_protocol(random_cptp_channel(5, np.random.default_rng(13)), budget=FAST_BUDGET)
         assert report.ds_section is None
         assert calls == {("eigvalsh", 5): 1, ("svd", 5): 2}
@@ -142,6 +162,22 @@ class TestRunProtocol:
             expected = Conclusion.ENTANGLED if floors < -1 else Conclusion.INCONCLUSIVE
             assert report.verdict("cldui-ppt").flag == expected
             assert is_ppt(report.choi_op.dm).flag == expected
+
+    def test_builds_no_dense_state(self, no_dense_state):
+        report = run_protocol(random_cptp_channel(12, np.random.default_rng(14)), budget=FAST_BUDGET)
+        obj = report.to_json_dict()
+        assert "output_state" not in obj
+        assert len(obj["cldui"]["weights"]) == 12
+        with pytest.raises(AssertionError, match="dense"):
+            report.choi_op.dm
+
+    def test_cli_certify_at_d64_stays_at_table_scale(self, no_dense_state, tmp_path):
+        cfg = tmp_path / "channel.json"
+        ch = random_cptp_channel(64, np.random.default_rng(64))
+        cfg.write_text(json.dumps(channel_to_config(ch)), encoding="utf-8")
+        outdir = tmp_path / "out"
+        assert cli.main(["certify", "--input", str(cfg), "--outdir", str(outdir)]) == 0
+        assert (outdir / "report.json").stat().st_size < 1_500_000
 
     def test_report_payload_is_reproducible(self):
         ch = channel_from_ds(BOUND6_M)
@@ -187,6 +223,14 @@ class TestSweepAlpha:
         for row, alpha in zip(rows, grid):
             assert np.allclose(np.diag(row.action).real, expected_diag, atol=1e-12)
             assert np.allclose(np.abs(row.action[off]), abs(1 + alpha) / 5, atol=1e-12)
+
+    def test_decomposition_counts(self, monkeypatch):
+        # Each row's protocol run and channel action share one hat-block
+        # check; the probe state is validated once for the whole grid.
+        grid = [0.0, -0.8, -1.0, -1.2]
+        calls = count_decompositions(monkeypatch)
+        assert len(sweep_alpha(DEMO_CROSSTALK_5, grid, budget=FAST_BUDGET)) == len(grid)
+        assert calls == {("eigvalsh", 5): len(grid) + 1, ("svd", 5): 2 * len(grid)}
 
     def test_row_serialization(self):
         rows = sweep_alpha(np.eye(2), [-0.5], budget=FAST_BUDGET)

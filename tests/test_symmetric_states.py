@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcfqc.channel import McfChannel, choi, verify_cptp
+from mcfqc.channel import ChoiOperator, McfChannel, choi, verify_cptp
 from mcfqc.linalg import trace_norm
 from mcfqc.presets import BOUND6_M, DEMO_CROSSTALK_5
 from mcfqc.states import (
@@ -120,6 +120,12 @@ class TestCldulDensity:
 
 
 class TestCldulFromChoi:
+    def test_rejects_disagreeing_diagonals(self):
+        j = choi(McfChannel.with_uniform_dephasing(np.eye(2), 0.0))
+        malformed = ChoiOperator(j.weights, j.hat_block + 1e-6 * np.eye(2), j.warnings)
+        with pytest.raises(ValueError, match="diagonal disagrees"):
+            cldui_from_choi(malformed)
+
     def test_identity_channel_d2(self):
         j = choi(McfChannel.with_uniform_dephasing(np.eye(2), 0.0))
         s = cldui_from_choi(j)
