@@ -23,7 +23,9 @@ from sampling import random_cptp_channel
 FAST_SEARCH = ["--restarts", "5", "--max-iters", "5000"]
 # Nonnegative factor of an order-5 matrix that the reduced search factorizes.
 PLANTED_CP_5 = np.random.default_rng(0).random((5, 15))
-SEARCH_KEYS = {"found", "best_residual", "restarts_run", "total_iterations", "found_at_restart"}
+SEARCH_KEYS = {
+    "found", "best_residual", "restarts_run", "total_iterations", "found_at_restart", "exits",
+}
 
 
 def run_cli(*args):

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from mcfqc import cones
 from mcfqc.cones import (
     Classification,
     CpStatus,
@@ -17,6 +20,16 @@ from mcfqc.symmetric_states import ds_from_m_matrix, ds_to_density
 from sampling import random_dnn_matrix
 
 FAST_BUDGET = SearchBudget(restarts=20, max_iters=20_000, residual_target=1e-7, seed=0)
+# A completely positive matrix whose restart 0 stalls under STACK_BUDGET while
+# restarts 2, 6 and 9 reach the target at the same first check, before
+# restart 1 does.
+MISSED_BY_RESTART_0 = random_dnn_matrix(5, np.random.default_rng(49))
+STACK_BUDGET = SearchBudget(restarts=10, max_iters=20_000, residual_target=1e-7, seed=1)
+
+
+@pytest.fixture(scope="module")
+def bound6_default():
+    return cp_factorize(BOUND6_M)
 
 
 class TestIsDnn:
@@ -102,12 +115,90 @@ class TestCpFactorize:
         assert a.best_residual == b.best_residual
         assert a.total_iterations == b.total_iterations
         assert a.restarts_run == b.restarts_run
+        assert a.to_json_dict() == b.to_json_dict()
+        # a search that ends inside a stack of restarts
+        a = cp_factorize(MISSED_BY_RESTART_0, STACK_BUDGET)
+        b = cp_factorize(MISSED_BY_RESTART_0, STACK_BUDGET)
+        assert a.found and a.found_at_restart > 0
+        assert a.to_json_dict() == b.to_json_dict()
+        assert np.array_equal(a.factor, b.factor)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             SearchBudget(restarts=0)
         with pytest.raises(ValueError):
             SearchBudget(residual_target=0.0)
+
+
+class TestBatchedSearch:
+    def test_bound6_default_budget_stalls_every_restart(self, bound6_default):
+        assert not bound6_default.found
+        assert bound6_default.restarts_run == 100
+        assert bound6_default.exits == {"target": 0, "stall": 100, "budget": 0}
+        assert bound6_default.best_residual == pytest.approx(5.409012367159599e-3, abs=1e-12)
+
+    def test_tiny_budget_exits_on_budget(self):
+        result = cp_factorize(BOUND6_M, SearchBudget(restarts=7, max_iters=30))
+        assert result.exits == {"target": 0, "stall": 0, "budget": 7}
+        assert result.total_iterations == 7 * 30
+        # the last iterate is compared even though no periodic check came
+        assert np.isfinite(result.best_residual)
+
+    def test_restart_0_miss_reports_lowest_index_at_first_hit(self):
+        m, budget = MISSED_BY_RESTART_0, STACK_BUDGET
+        result = cp_factorize(m, budget)
+        # Each restart descends alone exactly as it does inside a stack, so
+        # the expected winner follows from per-restart runs: the earliest
+        # check at which any restart hits, then the lowest index there.
+        hit_at = {}
+        for j in range(budget.restarts):
+            start = cones._starts(m, budget.seed, range(j, j + 1))
+            _, _, iters, exits = cones._descend(m, start, budget.max_iters, budget.residual_target)
+            if exits[0] == "target":
+                hit_at[j] = int(iters[0])
+        first = min(hit_at.values())
+        tied = [j for j, it in hit_at.items() if it == first]
+        assert 0 not in hit_at and len(tied) > 1 and min(hit_at) < min(tied)
+        assert result.found
+        assert result.found_at_restart == min(tied)
+        assert result.restarts_run == budget.restarts
+        assert sum(result.exits.values()) == result.restarts_run
+        assert result.exits["stall"] >= 1
+        assert result.factor.min() >= 0.0
+        assert np.linalg.norm(m - result.factor @ result.factor.T) <= budget.residual_target
+
+    def test_stack_size_does_not_change_the_result(self, monkeypatch, bound6_default):
+        sizes = []
+        descend = cones._descend
+
+        def recorded(m, b0, *args):
+            sizes.append(b0.shape[0])
+            return descend(m, b0, *args)
+
+        monkeypatch.setattr(cones, "_descend", recorded)
+        monkeypatch.setattr(cones, "_STACK_ENTRIES", 7 * 6 * 21)
+        chunked = cp_factorize(BOUND6_M)
+        assert sizes == [1] + [7] * 14 + [1]
+        assert chunked.to_json_dict() == bound6_default.to_json_dict()
+
+    def test_classify_ds_runs_each_check_once(self, monkeypatch):
+        calls = Counter()
+        check, eigvalsh = cones.checked_real_symmetric, np.linalg.eigvalsh
+
+        def counted_check(*args, **kwargs):
+            calls["checked_real_symmetric"] += 1
+            return check(*args, **kwargs)
+
+        def counted_eigvalsh(*args, **kwargs):
+            calls["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "checked_real_symmetric", counted_check)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        classification, cone = classify_ds(MISSED_BY_RESTART_0, STACK_BUDGET)
+        assert classification == Classification.SEPARABLE
+        assert cone.evidence == "factorization"
+        assert calls == {"checked_real_symmetric": 1, "eigvalsh": 1}
 
 
 class TestClassifyDs:
