@@ -6,11 +6,16 @@ full double precision so that golden files can be diffed without tolerances.
 Every JSON output, to stdout or to a file, is byte for byte
 ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, written by one
 writer, ``_dump_json``.
+
+``main`` builds the argument parser on its first call in a process and
+reuses it on every later call, so in-process callers that run many
+commands pay for one build; ``build_parser()`` returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,6 +28,7 @@ import numpy as np
 
 from .channel import (
     McfChannel,
+    _apply,
     apply,
     channel_from_config,
     channel_to_config,
@@ -241,6 +247,8 @@ def cmd_choi(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.csv and not args.outdir:
+        raise ValueError("--csv needs --outdir, the directory the CSV files are written to")
     tol = _tolerance(args)
     ch = channel_from_config(_load_json(args.input))
     report = run_protocol(
@@ -310,14 +318,15 @@ def cmd_demo_fig1(args) -> int:
     entries = []
     for alpha in DEMO_ALPHA_GRID:
         ch = McfChannel.with_uniform_dephasing(DEMO_CROSSTALK_5, alpha)
-        out = apply(ch, rho, force=True, tol=tol)
+        cptp = verify_cptp(ch, tol)
+        out = _apply(ch, rho, cptp, force=True)
         name = f"heatmap_alpha_{_alpha_label(alpha)}.csv"
         _write_csv(outdir / name, np.abs(out.mat))
         off = np.abs(out.mat[~np.eye(5, dtype=bool)])
         entries.append({
             "alpha": alpha,
             "file": name,
-            "cp_ok": verify_cptp(ch, tol).cp_ok,
+            "cp_ok": cptp.cp_ok,
             "diagonal": [float(x) for x in np.diag(out.mat).real],
             "off_diagonal_magnitude": float(off.max()),
         })
@@ -371,6 +380,7 @@ def cmd_demo_bound6(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the whole CLI on every call; ``main`` reuses one per process."""
     parser = _Parser(
         prog="mcfqc",
         description="Multicore-fibre channels: physicality checks, Choi machinery, "
@@ -443,8 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs milliseconds (terminal-size and gettext lookups
+# for every argument), more than a small certify call; parsing leaves the
+# parser unchanged, so one instance serves every call.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; argv defaults to sys.argv[1:]. Returns the exit code.
+
+    May be called repeatedly in one process. The parser is built on the
+    first call and reused by every later one; each call still reads its
+    inputs, recomputes and writes its outputs.
+    """
+    parser = _shared_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv:
         parser.print_usage(sys.stderr)

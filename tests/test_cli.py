@@ -15,10 +15,11 @@ from mcfqc.channel import channel_to_config, cp_boundary_uniform_alpha
 from mcfqc.cli import build_parser
 from mcfqc.cones import SearchBudget
 from mcfqc.linalg import Tolerance, matrix_to_literal
-from mcfqc.presets import BOUND6_M, DEMO_CROSSTALK_5
+from mcfqc.presets import BOUND6_M, DEMO_ALPHA_GRID, DEMO_CROSSTALK_5
 from mcfqc.symmetric_states import channel_from_ds
 
 from sampling import random_cptp_channel
+from test_pipeline import count_decompositions
 
 FAST_SEARCH = ["--restarts", "5", "--max-iters", "5000"]
 # Nonnegative factor of an order-5 matrix that the reduced search factorizes.
@@ -99,6 +100,36 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("mcfqc channel-check: error: ")
+
+
+class TestSharedParser:
+    def test_calls_in_one_process_match_a_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        # main reuses its parser across calls; no call may see what an
+        # earlier one parsed, printed or failed on.
+        def call(argv):
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        first_help = call(["--help"])
+        assert first_help[0] == 0
+        assert call(["certify", "--help"])[0] == 0
+        code, out, err = call(["certify"])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: mcfqc certify") and "--input" in err
+
+        certify = ["certify", "-i", str(write_demo_channel(tmp_path)), "--timestamp", "T"]
+        code, out, _ = call([*certify, "--psd-floor", "1e-8"])
+        assert code == 0 and json.loads(out)["tolerances"]["psd_floor"] == 1e-8
+        code, out, _ = call(certify)
+        assert code == 0
+        assert json.loads(out)["tolerances"] == asdict(Tolerance())
+        assert out == run_cli(*certify).stdout
+
+        # The console script's path: argv taken from sys.argv.
+        monkeypatch.setattr(sys, "argv", ["mcfqc", "--help"])
+        assert call(None) == first_help
+        assert first_help[1] == build_parser().format_help()
 
 
 class TestDefaults:
@@ -216,6 +247,13 @@ class TestCertify:
         assert (outdir / "cldui_weights.csv").exists()
         assert (outdir / "cldui_coherences.csv").exists()
         assert not (outdir / "output_state.csv").exists()
+
+    def test_csv_needs_outdir(self, tmp_path, capsys):
+        cfg = write_demo_channel(tmp_path)
+        assert cli.main(["certify", "--input", str(cfg), "--csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("mcfqc certify: error: --csv needs --outdir")
 
     def test_report_bytes_are_pinned(self, tmp_path):
         # Pinned across commits. Unlike the choi output, these bytes take in
@@ -419,6 +457,13 @@ class TestDemoFig1:
         assert run_cli("demo-fig1", "--outdir", str(out2)).returncode == 0
         for name in ("summary.json", "heatmap_alpha_-0.8.csv", "crosstalk_table.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_decomposition_counts(self, tmp_path, monkeypatch):
+        # The probe state is validated once; each alpha's CP/TP check also
+        # marks its channel action.
+        calls = count_decompositions(monkeypatch)
+        assert cli.main(["demo-fig1", "--outdir", str(tmp_path)]) == 0
+        assert calls == {("eigvalsh", 5): len(DEMO_ALPHA_GRID) + 1}
 
 
 class TestDemoBound6:
