@@ -11,7 +11,6 @@ design of a channel that realizes a given pair-weight matrix.
 """
 
 from .channel import (
-    ChoiOperator,
     CptpReport,
     McfChannel,
     apply,
@@ -46,6 +45,7 @@ from .linalg import (
 )
 from .pipeline import CertificationReport, DsSection, SweepRow, run_protocol, sweep_alpha
 from .states import (
+    ClduiState,
     Conclusion,
     CriterionVerdict,
     DensityMatrix,
@@ -60,13 +60,10 @@ from .states import (
     state_to_json,
 )
 from .symmetric_states import (
-    ClduiState,
     DsState,
     channel_from_ds,
-    cldui_from_choi,
     cldui_is_ppt,
     cldui_realignment_test,
-    cldui_to_density,
     ds_from_m_matrix,
     ds_partial_transpose,
     ds_to_density,

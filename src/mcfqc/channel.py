@@ -8,7 +8,8 @@ maximal fixed-point set a nontrivial channel can have.
 
 The Choi operator of such a channel has a closed form: diagonal entries
 P[i, j] / d plus a single d x d coherence block on the span of |ii> (the
-"hat block"). Complete positivity of the channel is equivalent to positive
+"hat block"); ``choi`` returns it as that pair of tables, a ClduiState.
+Complete positivity of the channel is equivalent to positive
 semidefiniteness of that block, which keeps all physicality checks at d x d
 scale.
 """
@@ -28,9 +29,8 @@ from .linalg import (
     is_psd,
     matrix_from_literal,
     matrix_to_literal,
-    pair_to_dense,
 )
-from .states import DensityMatrix, _trusted, partial_trace
+from .states import ClduiState, DensityMatrix, _trusted, partial_trace
 
 
 @dataclass(frozen=True)
@@ -77,27 +77,6 @@ class McfChannel:
         a = np.full((d, d), float(alpha), dtype=complex)
         np.fill_diagonal(a, 0.0)
         return cls(p, a)
-
-
-@dataclass(frozen=True)
-class ChoiOperator:
-    """Choi state of a fibre channel, held as its pair of d x d tables.
-
-    ``weights`` (P / d) sits on the diagonal at |ij><ij| and ``hat_block``
-    at |ii><jj|; every other entry of the d^2 x d^2 state is zero.
-    ``warnings`` marks a channel outside the physical window. ``dm`` builds
-    the dense state on each access, for the callers that need the matrix.
-    """
-
-    weights: np.ndarray
-    hat_block: np.ndarray
-    warnings: tuple[str, ...]
-
-    @property
-    def dm(self) -> DensityMatrix:
-        d = self.hat_block.shape[0]
-        mat = pair_to_dense(self.weights, self.hat_block)
-        return _trusted(DensityMatrix, mat=mat, factors=(d, d), warnings=self.warnings)
 
 
 @dataclass(frozen=True)
@@ -180,14 +159,19 @@ def _apply(ch: McfChannel, rho: DensityMatrix, cptp: CptpReport, force: bool) ->
     return _trusted(DensityMatrix, mat=_act(ch, rho.mat), factors=rho.factors, warnings=warnings)
 
 
-def choi(ch: McfChannel, tol: Tolerance = DEFAULT_TOL) -> ChoiOperator:
-    """Closed-form Choi operator (equals feeding half of |Psi+> through the fibre)."""
+def choi(ch: McfChannel, tol: Tolerance = DEFAULT_TOL) -> ClduiState:
+    """Closed-form Choi state (equals feeding half of |Psi+> through the fibre).
+
+    It is held as its pair of d x d tables: weights P / d and coherences the
+    hat block; ``.dm`` builds the dense d^2 x d^2 state on request.
+    """
     return _choi(ch, verify_cptp(ch, tol))
 
 
-def _choi(ch: McfChannel, cptp: CptpReport) -> ChoiOperator:
-    """The Choi operator, its warnings read from a verify_cptp report the caller holds."""
-    return ChoiOperator(ch.crosstalk / ch.d, hat_block(ch), _physicality_warnings(cptp, force=True))
+def _choi(ch: McfChannel, cptp: CptpReport) -> ClduiState:
+    """The Choi state, its warnings read from a verify_cptp report the caller holds."""
+    warnings = _physicality_warnings(cptp, force=True)
+    return _trusted(ClduiState, weights=ch.crosstalk / ch.d, coherences=hat_block(ch), warnings=warnings)
 
 
 def extend_one_side(
@@ -214,15 +198,15 @@ def extend_one_side(
     return _trusted(DensityMatrix, mat=out.reshape(d * d, d * d), factors=(d, d), warnings=warnings)
 
 
-def channel_from_choi(j, tol: Tolerance = DEFAULT_TOL):
+def channel_from_choi(dm: DensityMatrix, tol: Tolerance = DEFAULT_TOL):
     """Reconstruct the channel action E(rho) = d * Tr_A[J (rho^T (x) 1)].
 
-    Accepts a ChoiOperator or a bare bipartite DensityMatrix. The factor d
-    compensates for the unit normalization of the maximally entangled state
-    used to define J, so that the round trip channel -> Choi -> channel
-    closes exactly. Requires Tr_B(J) = 1/d (a trace-preserving Choi).
+    Takes the bipartite Choi state J as a DensityMatrix (``choi(ch).dm``).
+    The factor d compensates for the unit normalization of the maximally
+    entangled state used to define J, so that the round trip
+    channel -> Choi -> channel closes exactly. Requires Tr_B(J) = 1/d (a
+    trace-preserving Choi).
     """
-    dm = j.dm if isinstance(j, ChoiOperator) else j
     if dm.factors is None:
         raise ValueError("Choi operator must carry bipartite factors")
     da, db = dm.factors
@@ -282,8 +266,13 @@ def channel_to_config(ch: McfChannel) -> dict:
 
 def crosstalk_from_config(obj: dict) -> np.ndarray:
     """Parse the {"d": int, "P": [[...]]} part shared by channel and sweep configs."""
-    d = int(obj["d"])
-    p = matrix_from_literal(obj["P"])
+    if not isinstance(obj, dict):
+        raise ValueError('config must be a JSON object with fields "d" and "P"')
+    try:
+        d = int(obj["d"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError('"d" must be an integer, the number of cores') from None
+    p = matrix_from_literal(obj.get("P"), '"P"')
     if p.shape != (d, d):
         raise ValueError(f"crosstalk table must be {d} x {d}, got {p.shape}")
     return checked_real(p, "crosstalk table must be real")
@@ -293,12 +282,16 @@ def channel_from_config(obj: dict) -> McfChannel:
     """Parse {"d": int, "P": [[...]], "alpha": {"uniform": x} | {"matrix": [[...]]}}."""
     p = crosstalk_from_config(obj)
     d = p.shape[0]
-    alpha = obj["alpha"]
+    alpha = obj.get("alpha")
     if not isinstance(alpha, dict) or not ({"uniform", "matrix"} & alpha.keys()):
-        raise ValueError('alpha must be {"uniform": real} or {"matrix": [[...]]}')
+        raise ValueError('"alpha" must be {"uniform": real} or {"matrix": [[...]]}')
     if "uniform" in alpha:
-        return McfChannel.with_uniform_dephasing(p, float(alpha["uniform"]))
-    a = matrix_from_literal(alpha["matrix"])
+        try:
+            uniform = float(alpha["uniform"])
+        except (TypeError, ValueError):
+            raise ValueError('"uniform" in "alpha" must be a real number') from None
+        return McfChannel.with_uniform_dephasing(p, uniform)
+    a = matrix_from_literal(alpha["matrix"], '"matrix" in "alpha"')
     if a.shape != (d, d):
         raise ValueError(f"dephasing table must be {d} x {d}, got {a.shape}")
     return McfChannel(p, a)

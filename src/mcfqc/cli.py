@@ -194,15 +194,23 @@ def _emit(args, obj) -> int:
 
 def _ds_matrix_from_input(obj: dict) -> np.ndarray:
     """Read a pair-weight matrix from {"d", "M"} or {"d", "p": {"ii", "ij"}}."""
-    d = int(obj["d"])
+    if not isinstance(obj, dict):
+        raise ValueError('input must be a JSON object with "d" and "M" or "p"')
+    try:
+        d = int(obj["d"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError('"d" must be an integer, the matrix order') from None
     if "M" in obj:
-        m = matrix_from_literal(obj["M"])
+        m = matrix_from_literal(obj["M"], '"M"')
         if m.shape != (d, d):
             raise ValueError(f"pair-weight matrix must be {d} x {d}, got {m.shape}")
         return checked_real(m, "pair-weight matrix must be real")
     if "p" in obj:
-        diag = [float(x) for x in obj["p"]["ii"]]
-        upper = [float(x) for x in obj["p"]["ij"]]
+        try:
+            diag = [float(x) for x in obj["p"]["ii"]]
+            upper = [float(x) for x in obj["p"]["ij"]]
+        except (KeyError, TypeError, ValueError):
+            raise ValueError('"p" must be {"ii": [d numbers], "ij": [d(d-1)/2 numbers]}') from None
         if len(diag) != d or len(upper) != d * (d - 1) // 2:
             raise ValueError("weight lists must have lengths d and d(d-1)/2")
         w = np.zeros((d, d))
@@ -241,7 +249,7 @@ def cmd_choi(args) -> int:
     j = choi(ch, tol)
     return _emit(args, {
         "choi": state_to_json(j.dm),
-        "hat_block": matrix_to_literal(j.hat_block),
+        "hat_block": matrix_to_literal(j.coherences),
         "tolerances": asdict(tol),
     })
 
@@ -292,7 +300,10 @@ def cmd_sweep(args) -> int:
     tol = _tolerance(args)
     cfg = _load_json(args.input)
     p = crosstalk_from_config(cfg)
-    grid = [float(a) for a in cfg["grid"]]
+    try:
+        grid = [float(a) for a in cfg["grid"]]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError('"grid" must be a list of real alpha values') from None
     rows = sweep_alpha(p, grid, tol=tol, budget=_budget(args))
     table = {
         "d": p.shape[0],

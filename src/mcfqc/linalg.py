@@ -138,20 +138,25 @@ def matrix_to_literal(m) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def matrix_from_literal(rows) -> np.ndarray:
+def matrix_from_literal(rows, name: str = "matrix literal") -> np.ndarray:
     """Parse the row-major literal format written by matrix_to_literal.
 
     Each entry is either a bare number or a [re, im] pair; the two styles may
-    be mixed freely within one matrix.
+    be mixed freely within one matrix. Errors call the literal ``name``.
     """
 
     def entry(e):
-        if isinstance(e, (list, tuple)):
-            if len(e) != 2:
-                raise ValueError(f"matrix entry must be a number or [re, im] pair, got {e!r}")
-            return complex(float(e[0]), float(e[1]))
-        return complex(float(e), 0.0)
+        try:
+            if not isinstance(e, (list, tuple)):
+                return complex(float(e), 0.0)
+            if len(e) == 2:
+                return complex(float(e[0]), float(e[1]))
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"{name} entries must be numbers or [re, im] pairs, got {e!r}")
 
-    if not isinstance(rows, (list, tuple)) or not rows:
-        raise ValueError("matrix literal must be a non-empty list of rows")
+    if not (isinstance(rows, (list, tuple)) and rows and all(isinstance(r, (list, tuple)) for r in rows)):
+        raise ValueError(f"{name} must be a non-empty list of rows, each a list of entries")
+    if len(set(map(len, rows))) != 1:
+        raise ValueError(f"rows of {name} must all have the same length")
     return as_matrix([[entry(e) for e in row] for row in rows])

@@ -1,13 +1,14 @@
 """End-to-end certification protocol.
 
 The protocol sends one half of a maximally entangled pair through the fibre
-and certifies the entanglement of the output state: the Choi state, built
-in closed form as its (weights, coherences) pair of d x d tables (the tests
-compare its dense expansion with the one-sided application). Each criterion
-is decided once, by the closed-form test on that pair, and the report
-carries the pair as its ``cldui`` section; no d^2 x d^2 matrix is built.
-The dense criteria of ``states`` are mathematically equivalent; the tests
-keep them as the reference the closed forms are checked against.
+and certifies the entanglement of the output state: the Choi state, which
+``channel.choi`` builds in closed form as a ``ClduiState``, its (weights,
+coherences) pair of d x d tables (the tests compare its dense expansion
+with the one-sided application). Each criterion is decided once, by the
+closed-form test on that pair. The report holds that one pair as its
+``cldui`` field and section; no d^2 x d^2 matrix is built. The dense
+criteria of ``states`` are mathematically equivalent; the tests keep them
+as the reference the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import (
-    ChoiOperator,
     CptpReport,
     McfChannel,
     _apply,
@@ -29,13 +29,8 @@ from .channel import (
 )
 from .cones import Classification, ConeVerdict, SearchBudget, classify_ds
 from .linalg import DEFAULT_TOL, Tolerance, matrix_to_literal
-from .states import CriterionVerdict, DensityMatrix, max_coherent
-from .symmetric_states import (
-    ClduiState,
-    cldui_from_choi,
-    cldui_is_ppt,
-    cldui_realignment_test,
-)
+from .states import ClduiState, CriterionVerdict, DensityMatrix, max_coherent
+from .symmetric_states import cldui_is_ppt, cldui_realignment_test
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,6 @@ class DsSection:
 class CertificationReport:
     channel: McfChannel
     cptp: CptpReport
-    choi_op: ChoiOperator
     cldui: ClduiState
     verdicts: tuple[CriterionVerdict, ...]
     ds_section: DsSection | None
@@ -125,8 +119,7 @@ def run_protocol(
             )
         warnings = ("unphysical parameters",)
 
-    choi_op = _choi(ch, cptp)
-    cldui = cldui_from_choi(choi_op, tol)
+    cldui = _choi(ch, cptp)
     verdicts = (cldui_is_ppt(cldui, tol), cldui_realignment_test(cldui, tol))
 
     ds_section = None
@@ -149,9 +142,7 @@ def run_protocol(
         "timestamp": timestamp,
         "tolerances": asdict(tol),
     }
-    return CertificationReport(
-        ch, cptp, choi_op, cldui, verdicts, ds_section, provenance, warnings
-    )
+    return CertificationReport(ch, cptp, cldui, verdicts, ds_section, provenance, warnings)
 
 
 @dataclass(frozen=True)

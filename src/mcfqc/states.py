@@ -17,10 +17,13 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    check_distribution,
     checked_hermitian,
+    checked_real,
     is_psd,
     matrix_from_literal,
     matrix_to_literal,
+    pair_to_dense,
     trace_norm,
 )
 
@@ -53,10 +56,10 @@ class DensityMatrix:
     guarantee but skip the trace and positivity checks, so that formal
     evaluations remain representable without pretending they are states.
 
-    ``ChoiOperator.dm``, ``apply``, ``extend_one_side`` and ``max_entangled``
-    skip the two checks as well: ``verify_cptp`` has decided them under the
-    caller's tolerance, or a warning waives them. Every other constructor
-    checks both.
+    ``ClduiState.dm``, ``apply``, ``extend_one_side`` and ``max_entangled``
+    skip the two checks as well: the pair's own checks or ``verify_cptp``
+    (under the caller's tolerance) have decided them, or a warning waives
+    them. Every other constructor checks both.
     """
 
     mat: np.ndarray
@@ -88,6 +91,66 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+@dataclass(frozen=True)
+class ClduiState:
+    """Pair (weights, coherences) of d x d tables defining an invariant state:
+    weights at |ij><ij|, coherences at |ii><jj|, every other entry zero.
+
+    Validity requires entrywise nonnegative weights summing to 1, a PSD
+    coherence block, and matching diagonals. As with DensityMatrix, a
+    non-empty ``warnings`` tuple waives the positivity requirement on the
+    coherence block so that unphysical-parameter evaluations stay
+    representable.
+
+    ``channel.choi``, which returns a fibre channel's Choi state as such a
+    pair, skips the distribution and positivity checks: ``verify_cptp`` has
+    decided them (see DensityMatrix). The diagonals are always checked.
+    """
+
+    weights: np.ndarray
+    coherences: np.ndarray
+    warnings: tuple[str, ...] = ()
+
+    def __post_init__(self, physicality: bool = True):
+        a = as_matrix(self.weights)
+        d = a.shape[0]
+        if a.shape[1] != d:
+            raise ValueError("weight table must be square")
+        a = checked_real(a, "weight table must be real").copy()
+        if physicality:
+            check_distribution(a, "weight table", "weight table entries")
+        b = as_matrix(self.coherences)
+        if b.shape != (d, d):
+            raise ValueError("coherence block must match the weight table shape")
+        b = checked_hermitian(b, "coherence block must be Hermitian")
+        if np.abs(np.diag(a) - np.diag(b).real).max() > DEFAULT_TOL.eq_tol:
+            raise ValueError("diagonals of the weight and coherence tables must agree")
+        object.__setattr__(self, "warnings", tuple(self.warnings))
+        if physicality and not self.warnings:
+            ok, lo = is_psd(b)
+            if not ok:
+                raise ValueError(f"coherence block not PSD (min eigenvalue {lo:.3e})")
+        a.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "weights", a)
+        object.__setattr__(self, "coherences", b)
+
+    @property
+    def d(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def dm(self) -> DensityMatrix:
+        """The d^2 x d^2 state, built on each access, with factors (d, d).
+
+        It is not checked again: its spectrum is the off-diagonal weights
+        together with the coherence block's spectrum, and its trace is the
+        weights' sum, so the pair's checks have decided both.
+        """
+        mat = pair_to_dense(self.weights, self.coherences)
+        return _trusted(DensityMatrix, mat=mat, factors=(self.d, self.d), warnings=self.warnings)
 
 
 def _trusted(cls, **fields):

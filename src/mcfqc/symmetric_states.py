@@ -3,7 +3,8 @@
 Two parameterized families live here. The first is invariant under
 U (x) U-conjugate for every diagonal unitary U and is described by a pair of
 d x d tables: nonnegative weights on |ij><ij| and a Hermitian coherence
-block on |ii><jj|. The second is the family of mixtures of symmetric-pair
+block on |ii><jj| (``ClduiState``, defined in ``states`` next to
+DensityMatrix and imported here). The second is the family of mixtures of symmetric-pair
 (Dicke) projectors, described by an upper-triangular weight table. The
 partial transpose of the second family lands inside the first, with both
 tables equal to the pair-weight matrix (diagonal p_ii, off-diagonal p_ij/2),
@@ -26,68 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChoiOperator, McfChannel
+from .channel import McfChannel
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
     check_distribution,
-    checked_hermitian,
     checked_real,
     checked_real_symmetric,
     entrywise_one_norm,
-    is_psd,
     pair_to_dense,
     trace_norm,
 )
-from .states import Conclusion, CriterionVerdict, DensityMatrix, _trusted
-
-
-@dataclass(frozen=True)
-class ClduiState:
-    """Pair (weights, coherences) of d x d tables defining an invariant state.
-
-    Validity requires entrywise nonnegative weights summing to 1, a PSD
-    coherence block, and matching diagonals. As with DensityMatrix, a
-    non-empty ``warnings`` tuple waives the positivity requirement on the
-    coherence block so that unphysical-parameter evaluations stay
-    representable.
-
-    ``cldui_from_choi`` skips the distribution and positivity checks, which
-    ``verify_cptp`` has decided for the channel (see DensityMatrix).
-    """
-
-    weights: np.ndarray
-    coherences: np.ndarray
-    warnings: tuple[str, ...] = ()
-
-    def __post_init__(self, physicality: bool = True):
-        a = as_matrix(self.weights)
-        d = a.shape[0]
-        if a.shape[1] != d:
-            raise ValueError("weight table must be square")
-        a = checked_real(a, "weight table must be real").copy()
-        if physicality:
-            check_distribution(a, "weight table", "weight table entries")
-        b = as_matrix(self.coherences)
-        if b.shape != (d, d):
-            raise ValueError("coherence block must match the weight table shape")
-        b = checked_hermitian(b, "coherence block must be Hermitian")
-        if np.abs(np.diag(a) - np.diag(b).real).max() > DEFAULT_TOL.eq_tol:
-            raise ValueError("diagonals of the weight and coherence tables must agree")
-        object.__setattr__(self, "warnings", tuple(self.warnings))
-        if physicality and not self.warnings:
-            ok, lo = is_psd(b)
-            if not ok:
-                raise ValueError(f"coherence block not PSD (min eigenvalue {lo:.3e})")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", a)
-        object.__setattr__(self, "coherences", b)
-
-    @property
-    def d(self) -> int:
-        return self.weights.shape[0]
+from .states import ClduiState, Conclusion, CriterionVerdict, DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -113,24 +65,10 @@ class DsState:
         object.__setattr__(self, "weights", w)
 
 
-def cldui_to_density(s: ClduiState) -> DensityMatrix:
-    """Expand the (weights, coherences) pair into a (d^2) x (d^2) state."""
-    mat = pair_to_dense(s.weights, s.coherences)
-    return DensityMatrix(mat, factors=(s.d, s.d), warnings=s.warnings)
-
-
-def cldui_from_choi(j: ChoiOperator, tol: Tolerance = DEFAULT_TOL) -> ClduiState:
-    """Read the (weights, coherences) pair off a fibre-channel Choi operator.
-
-    The weights are the crosstalk probabilities over d; the coherence block
-    is the Choi hat block. Both are read from the operator's tables, never
-    from its dense state.
-    """
-    weights = j.weights
-    coherences = as_matrix(j.hat_block)
-    if np.abs(np.diag(weights) - np.diag(coherences).real).max() > tol.eq_tol:
-        raise ValueError("malformed Choi operator: hat-block diagonal disagrees with the weights")
-    return _trusted(ClduiState, weights=weights, coherences=coherences, warnings=j.warnings)
+def cldui_from_choi(j: ClduiState, tol: Tolerance = DEFAULT_TOL) -> ClduiState:
+    """Return the Choi state unchanged: ``choi`` already returns the pair.
+    Kept for callers of the older two-step API."""
+    return j
 
 
 def cldui_is_ppt(s: ClduiState, tol: Tolerance = DEFAULT_TOL) -> CriterionVerdict:

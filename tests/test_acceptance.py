@@ -33,7 +33,6 @@ from mcfqc.symmetric_states import (
     channel_from_ds,
     cldui_is_ppt,
     cldui_realignment_test,
-    cldui_to_density,
     ds_partial_transpose,
 )
 
@@ -60,7 +59,7 @@ def test_criterion_1_choi_round_trip():
     for trial in range(50):
         d = 2 + trial % 5
         ch = random_cptp_channel(d, rng)
-        action = channel_from_choi(choi(ch))
+        action = channel_from_choi(choi(ch).dm)
         for _ in range(5):
             rho = random_density_matrix(d, rng)
             err = np.abs(action(rho.mat) - apply(ch, rho).mat).max()
@@ -168,7 +167,7 @@ def test_criterion_5_criterion_equivalences():
     for trial in range(100):
         d = 2 + trial % 5
         s = random_cldui_state(d, rng)
-        rho = cldui_to_density(s)
+        rho = s.dm
         flags_agree = flags_agree and cldui_is_ppt(s).flag == is_ppt(rho).flag
         gap = abs(cldui_realignment_test(s).value - realignment_trace_norm(rho).value)
         worst_value_gap = max(worst_value_gap, gap)

@@ -156,7 +156,7 @@ class TestChoi:
         ch = random_cptp_channel(3, rng)
         j = choi(ch)
         pairs = np.arange(3) * 4
-        assert np.abs(j.dm.mat[np.ix_(pairs, pairs)] - j.hat_block).max() == 0.0
+        assert np.abs(j.dm.mat[np.ix_(pairs, pairs)] - j.coherences).max() == 0.0
 
     def test_non_cp_choi_is_marked(self):
         ch = McfChannel.with_uniform_dephasing(np.eye(5), -2.0)
@@ -221,7 +221,7 @@ class TestVerifyCptp:
 
 class TestChannelFromChoi:
     def test_max_entangled_choi_gives_identity_action(self):
-        action = channel_from_choi(choi(McfChannel.with_uniform_dephasing(np.eye(3), 0.0)))
+        action = channel_from_choi(choi(McfChannel.with_uniform_dephasing(np.eye(3), 0.0)).dm)
         rng = np.random.default_rng(9)
         rho = random_density_matrix(3, rng).mat
         assert np.abs(action(rho) - rho).max() < 1e-12
@@ -239,7 +239,7 @@ class TestChannelFromChoi:
         for trial in range(15):
             d = 2 + trial % 4
             ch = random_cptp_channel(d, rng)
-            action = channel_from_choi(choi(ch))
+            action = channel_from_choi(choi(ch).dm)
             for _ in range(3):
                 rho = random_density_matrix(d, rng)
                 assert np.abs(action(rho.mat) - apply(ch, rho).mat).max() < 1e-10

@@ -101,6 +101,34 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("mcfqc channel-check: error: ")
 
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("channel-check", [1, 2], "config must be a JSON object"),
+            ("channel-check", {"d": 2, "P": [[1, None], [0, 1]], "alpha": {"uniform": 0.0}},
+             '"P" entries must be numbers'),
+            ("channel-check", {"d": 2, "P": [[1, 0], [0, 1]]}, '"alpha" must be'),
+            ("channel-check", {"d": "x", "P": [[1, 0], [0, 1]], "alpha": {"uniform": 0.0}},
+             '"d" must be an integer'),
+            ("channel-check", {"d": 2, "P": [1, 0], "alpha": {"uniform": 0.0}},
+             '"P" must be a non-empty list of rows'),
+            ("cp-test", {"d": 2, "p": {"ii": [0.5, 0.5]}}, '"p" must be {"ii"'),
+            ("cp-test", {"d": 2, "M": [[0.5, None], [0.0, 0.5]]}, '"M" entries must be numbers'),
+            ("sweep", {"d": 2, "P": [[1, 0], [0, 1]]}, '"grid" must be a list'),
+            ("sweep", {"d": 2, "P": [[1, 0], [0, 1]], "grid": -1}, '"grid" must be a list'),
+        ],
+        ids=[
+            "top-level-list", "null-entry", "no-alpha", "string-d", "flat-P",
+            "p-without-ij", "null-in-M", "no-grid", "scalar-grid",
+        ],
+    )
+    def test_malformed_field_is_named(self, tmp_path, capsys, command, payload, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main([command, "-i", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"mcfqc {command}: error: {field}")
+
 
 class TestSharedParser:
     def test_calls_in_one_process_match_a_fresh_parser(self, tmp_path, capsys, monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-import mcfqc.channel
 import mcfqc.linalg
+import mcfqc.states
 from mcfqc import cli
 from mcfqc.channel import McfChannel, channel_to_config
 from mcfqc.cones import Classification, SearchBudget
@@ -41,14 +41,14 @@ def no_dense_state(monkeypatch):
         raise AssertionError("a dense d^2 x d^2 state was built")
 
     monkeypatch.setattr(mcfqc.linalg, "pair_to_dense", refuse)
-    monkeypatch.setattr(mcfqc.channel, "pair_to_dense", refuse)
+    monkeypatch.setattr(mcfqc.states, "pair_to_dense", refuse)
 
 
 class TestRunProtocol:
     def test_identity_channel(self):
         ch = McfChannel.with_uniform_dephasing(np.eye(4), 0.0)
         report = run_protocol(ch, budget=FAST_BUDGET)
-        assert np.abs(report.choi_op.dm.mat - max_entangled(4).mat).max() < 1e-12
+        assert np.abs(report.cldui.dm.mat - max_entangled(4).mat).max() < 1e-12
         assert report.verdict("cldui-ppt").flag == Conclusion.ENTANGLED
         assert report.verdict("cldui-realignment").value == pytest.approx(4.0, abs=1e-10)
         assert report.warnings == ()
@@ -60,7 +60,7 @@ class TestRunProtocol:
         expected = np.zeros((d * d, d * d))
         for i in range(d):
             expected[i * (d + 1), i * (d + 1)] = 1 / d
-        assert np.abs(report.choi_op.dm.mat - expected).max() < 1e-15
+        assert np.abs(report.cldui.dm.mat - expected).max() < 1e-15
         for v in report.verdicts:
             assert v.flag == Conclusion.INCONCLUSIVE
 
@@ -88,7 +88,7 @@ class TestRunProtocol:
             run_protocol(ch, budget=FAST_BUDGET)
         report = run_protocol(ch, budget=FAST_BUDGET, force=True)
         assert report.warnings == ("unphysical parameters",)
-        assert report.choi_op.dm.warnings == ("not completely positive",)
+        assert report.cldui.dm.warnings == ("not completely positive",)
         assert not report.cptp.cp_ok
 
     def test_redundant_routes_always_agree(self):
@@ -98,7 +98,7 @@ class TestRunProtocol:
         for trial in range(20):
             d = 2 + trial % 5
             report = run_protocol(random_cptp_channel(d, rng), budget=FAST_BUDGET)
-            dm = report.choi_op.dm
+            dm = report.cldui.dm
             assert report.verdict("cldui-ppt").flag == is_ppt(dm).flag
             assert report.verdict("cldui-realignment").flag == realignment_trace_norm(dm).flag
 
@@ -111,7 +111,7 @@ class TestRunProtocol:
         for trial in range(25):
             d = (2, 3, 4, 5, 6, 8, 12)[trial % 7]
             report = run_protocol(random_cptp_channel(d, rng), budget=FAST_BUDGET)
-            dm = report.choi_op.dm
+            dm = report.cldui.dm
             ppt, dense_ppt = report.verdict("cldui-ppt"), is_ppt(dm)
             realign, dense_realign = report.verdict("cldui-realignment"), realignment_trace_norm(dm)
             assert ppt.flag == dense_ppt.flag
@@ -161,7 +161,7 @@ class TestRunProtocol:
         if abs(floors + 1.0) > 1e-4:
             expected = Conclusion.ENTANGLED if floors < -1 else Conclusion.INCONCLUSIVE
             assert report.verdict("cldui-ppt").flag == expected
-            assert is_ppt(report.choi_op.dm).flag == expected
+            assert is_ppt(report.cldui.dm).flag == expected
 
     def test_builds_no_dense_state(self, no_dense_state):
         report = run_protocol(random_cptp_channel(12, np.random.default_rng(14)), budget=FAST_BUDGET)
@@ -169,7 +169,7 @@ class TestRunProtocol:
         assert "output_state" not in obj
         assert len(obj["cldui"]["weights"]) == 12
         with pytest.raises(AssertionError, match="dense"):
-            report.choi_op.dm
+            report.cldui.dm
 
     def test_cli_certify_at_d64_stays_at_table_scale(self, no_dense_state, tmp_path):
         cfg = tmp_path / "channel.json"

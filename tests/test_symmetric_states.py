@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcfqc.channel import ChoiOperator, McfChannel, choi, verify_cptp
-from mcfqc.linalg import trace_norm
+from mcfqc.channel import McfChannel, choi, verify_cptp
+from mcfqc.linalg import DEFAULT_TOL, trace_norm
 from mcfqc.presets import BOUND6_M, DEMO_CROSSTALK_5
 from mcfqc.states import (
     Conclusion,
@@ -20,7 +22,6 @@ from mcfqc.symmetric_states import (
     cldui_from_choi,
     cldui_is_ppt,
     cldui_realignment_test,
-    cldui_to_density,
     ds_from_m_matrix,
     ds_partial_transpose,
     ds_to_density,
@@ -42,6 +43,21 @@ def dicke_basis(d: int) -> list[np.ndarray]:
                 v[i * d + j] = v[j * d + i] = 1.0 / np.sqrt(2.0)
             basis.append(v)
     return basis
+
+
+def dense_edge_case(name: str) -> ClduiState:
+    """Pairs whose dense expansion .dm builds without re-checking it."""
+    if name == "bound6":
+        # three exactly-zero hat-block eigenvalues: on the PSD edge
+        return choi(channel_from_ds(BOUND6_M))
+    if name == "hat-at-half-floor":
+        # P = I_3, uniform alpha with hat-block least eigenvalue -psd_floor / 2
+        s = choi(McfChannel.with_uniform_dephasing(np.eye(3), -1.5 - 0.75 * DEFAULT_TOL.psd_floor))
+        assert s.warnings == ()
+        assert np.linalg.eigvalsh(s.coherences)[0] == pytest.approx(-DEFAULT_TOL.psd_floor / 2, abs=1e-16)
+        return s
+    d = int(name.removeprefix("random-d"))
+    return random_cldui_state(d, np.random.default_rng(100 + d))
 
 
 def bell_pair_tables(d):
@@ -93,58 +109,73 @@ class TestCldulState:
 class TestCldulDensity:
     def test_bell_tables_expand_to_max_entangled(self):
         for d in (2, 3):
-            rho = cldui_to_density(bell_pair_tables(d))
+            rho = bell_pair_tables(d).dm
             assert np.abs(rho.mat - max_entangled(d).mat).max() < 1e-12
 
     def test_uniform_tables_expand_to_maximally_mixed(self):
         d = 3
         s = ClduiState(np.full((d, d), 1 / d**2), np.eye(d) / d**2)
-        rho = cldui_to_density(s)
+        rho = s.dm
         assert np.abs(rho.mat - np.eye(d * d) / d**2).max() < 1e-12
 
     def test_random_states_are_valid(self):
         rng = np.random.default_rng(0)
         for trial in range(10):
-            rho = cldui_to_density(random_cldui_state(2 + trial % 4, rng))
+            rho = random_cldui_state(2 + trial % 4, rng).dm
             assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_unitary_invariance(self):
         rng = np.random.default_rng(1)
         for trial in range(20):
             d = 2 + trial % 4
-            rho = cldui_to_density(random_cldui_state(d, rng)).mat
+            rho = random_cldui_state(d, rng).dm.mat
             for _ in range(5):
                 u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=d)))
                 w = np.kron(u, u.conj())
                 assert np.abs(w @ rho @ w.conj().T - rho).max() < 1e-12
 
 
+    @pytest.mark.parametrize(
+        "case", [f"random-d{d}" for d in range(2, 10)] + ["bound6", "hat-at-half-floor"]
+    )
+    def test_dense_spectrum_is_the_pair_spectrum(self, case):
+        # What lets .dm skip the DensityMatrix checks: the pair decides the
+        # dense state's spectrum and trace.
+        s = dense_edge_case(case)
+        off = ~np.eye(s.d, dtype=bool)
+        expected = np.sort(np.concatenate([s.weights[off], np.linalg.eigvalsh(s.coherences)]))
+        assert np.abs(np.linalg.eigvalsh(s.dm.mat) - expected).max() <= 1e-15
+        assert np.trace(s.dm.mat).real == pytest.approx(s.weights.sum(), abs=1e-15)
+
+
 class TestCldulFromChoi:
     def test_rejects_disagreeing_diagonals(self):
+        # choi's pair passes through the constructor's check, the only
+        # diagonal check left
         j = choi(McfChannel.with_uniform_dephasing(np.eye(2), 0.0))
-        malformed = ChoiOperator(j.weights, j.hat_block + 1e-6 * np.eye(2), j.warnings)
-        with pytest.raises(ValueError, match="diagonal disagrees"):
-            cldui_from_choi(malformed)
+        with pytest.raises(ValueError, match="diagonals"):
+            replace(j, coherences=j.coherences + 1e-6 * np.eye(2))
 
     def test_identity_channel_d2(self):
-        j = choi(McfChannel.with_uniform_dephasing(np.eye(2), 0.0))
-        s = cldui_from_choi(j)
+        s = choi(McfChannel.with_uniform_dephasing(np.eye(2), 0.0))
+        assert cldui_from_choi(s) is s
         assert np.abs(s.weights - np.eye(2) / 2).max() < 1e-15
         assert np.abs(s.coherences - np.full((2, 2), 0.5)).max() < 1e-15
 
     def test_demo_channel(self):
         ch = McfChannel.with_uniform_dephasing(DEMO_CROSSTALK_5, -0.8)
-        s = cldui_from_choi(choi(ch))
+        s = choi(ch)
         assert np.abs(s.weights - DEMO_CROSSTALK_5 / 5).max() < 1e-15
         off = ~np.eye(5, dtype=bool)
         assert np.allclose(s.coherences[off], 0.04, atol=1e-15)
 
     def test_round_trip_to_density(self):
+        # choi skips the physicality checks; the public constructor's pass
         rng = np.random.default_rng(2)
         for trial in range(30):
             d = 2 + trial % 4
             j = choi(random_cptp_channel(d, rng))
-            rho = cldui_to_density(cldui_from_choi(j))
+            rho = ClduiState(j.weights, j.coherences).dm
             assert np.abs(rho.mat - j.dm.mat).max() < 1e-12
 
 
@@ -153,12 +184,12 @@ class TestCldulCriteria:
         verdict = cldui_is_ppt(bell_pair_tables(3))
         assert verdict.flag == Conclusion.ENTANGLED
         assert verdict.value == pytest.approx(-1 / 3, abs=1e-12)
-        generic = is_ppt(cldui_to_density(bell_pair_tables(3)))
+        generic = is_ppt(bell_pair_tables(3).dm)
         assert verdict.value == pytest.approx(generic.value, abs=1e-12)
 
     def test_fully_dephased_channel_is_ppt(self):
         ch = McfChannel.with_uniform_dephasing(DEMO_CROSSTALK_5, -1.0)
-        verdict = cldui_is_ppt(cldui_from_choi(choi(ch)))
+        verdict = cldui_is_ppt(choi(ch))
         assert verdict.flag == Conclusion.INCONCLUSIVE
 
     def test_bound6_tables_sit_exactly_on_the_ppt_boundary(self):
@@ -173,7 +204,7 @@ class TestCldulCriteria:
             d = 2 + trial % 5
             s = random_cldui_state(d, rng)
             fast = cldui_is_ppt(s)
-            generic = is_ppt(cldui_to_density(s))
+            generic = is_ppt(s.dm)
             assert fast.flag == generic.flag
 
     def test_bell_realignment_value_is_d(self):
@@ -193,12 +224,12 @@ class TestCldulCriteria:
         # weight table, so the statistic is its trace norm (at most 1, since
         # the trace norm is bounded by the entrywise mass)
         ch = McfChannel.with_uniform_dephasing(DEMO_CROSSTALK_5, -1.0)
-        s = cldui_from_choi(choi(ch))
+        s = choi(ch)
         fast = cldui_realignment_test(s)
         assert fast.value == pytest.approx(trace_norm(s.weights), abs=1e-12)
         assert fast.value <= 1.0
         assert fast.flag == Conclusion.INCONCLUSIVE
-        generic = realignment_trace_norm(cldui_to_density(s))
+        generic = realignment_trace_norm(s.dm)
         assert abs(fast.value - generic.value) < 1e-10
 
     def test_realignment_agreement_with_generic_route(self):
@@ -207,7 +238,7 @@ class TestCldulCriteria:
             d = 2 + trial % 5
             s = random_cldui_state(d, rng)
             fast = cldui_realignment_test(s)
-            generic = realignment_trace_norm(cldui_to_density(s))
+            generic = realignment_trace_norm(s.dm)
             assert abs(fast.value - generic.value) < 1e-10
             assert fast.flag == generic.flag
 
@@ -301,7 +332,7 @@ class TestDsPartialTranspose:
         # structure with both tables equal to the pair-weight matrix
         g, m = ds_partial_transpose(ds_from_m_matrix(BOUND6_M))
         s = ClduiState(m, m)
-        assert np.abs(cldui_to_density(s).mat - g).max() < 1e-12
+        assert np.abs(s.dm.mat - g).max() < 1e-12
 
 
 class TestChannelFromDs:
@@ -317,7 +348,7 @@ class TestChannelFromDs:
     def test_choi_realizes_the_pair_weight_matrix(self):
         ch = channel_from_ds(BOUND6_M)
         j = choi(ch)
-        assert np.abs(j.hat_block - BOUND6_M).max() < 1e-12
+        assert np.abs(j.coherences - BOUND6_M).max() < 1e-12
         g, _ = ds_partial_transpose(ds_from_m_matrix(BOUND6_M))
         assert np.abs(j.dm.mat - g).max() < 1e-12
 
@@ -352,7 +383,7 @@ class TestChannelFromDs:
 
     def test_round_trip_through_choi(self):
         ch = channel_from_ds(BOUND6_M)
-        s = cldui_from_choi(choi(ch))
+        s = choi(ch)
         # reassembling the pair-weight matrix from the extracted tables
         assert np.abs(s.coherences - BOUND6_M).max() < 1e-12
         assert np.abs(s.weights - BOUND6_M).max() < 1e-12
