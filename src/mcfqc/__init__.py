@@ -3,18 +3,20 @@
 A d-core fibre is modeled as a quantum channel parameterized by a crosstalk
 probability table and a dephasing coefficient table. The package verifies
 channel physicality (trace preservation, complete positivity via the Choi
-operator), propagates states, certifies entanglement of the protocol output
-with PPT and realignment criteria (generic and closed-form specialized
-routes), and classifies Dicke-diagonal targets through the doubly-
-nonnegative and completely-positive matrix cones, including the inverse
-design of a channel that realizes a given pair-weight matrix.
+operator), propagates states, and certifies entanglement of the protocol
+output, the Choi state held as its (weights, coherences) pair of d x d
+tables, with closed-form PPT and realignment criteria on that pair (the
+generic dense criteria remain as the reference). A Dicke-diagonal target is
+given by its pair-weight matrix M alone: its partial transpose is the pair
+(M, M). Such targets are classified through the doubly-nonnegative and
+completely-positive matrix cones, and ``channel_from_ds`` designs the
+channel that realizes a given M.
 """
 
 from .channel import (
     CptpReport,
     McfChannel,
     apply,
-    channel_from_choi,
     channel_from_config,
     channel_to_config,
     choi,
@@ -37,7 +39,6 @@ from .cones import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    entrywise_one_norm,
     is_psd,
     matrix_from_literal,
     matrix_to_literal,
@@ -52,7 +53,6 @@ from .states import (
     is_ppt,
     max_coherent,
     max_entangled,
-    partial_trace,
     partial_transpose,
     realign,
     realignment_trace_norm,
@@ -60,14 +60,9 @@ from .states import (
     state_to_json,
 )
 from .symmetric_states import (
-    DsState,
     channel_from_ds,
     cldui_is_ppt,
     cldui_realignment_test,
-    ds_from_m_matrix,
-    ds_partial_transpose,
-    ds_to_density,
-    m_matrix,
 )
 
 __version__ = "0.1.0"

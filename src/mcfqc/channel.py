@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _json_number,
     as_matrix,
     checked_hermitian,
     checked_real,
@@ -30,7 +31,7 @@ from .linalg import (
     matrix_from_literal,
     matrix_to_literal,
 )
-from .states import ClduiState, DensityMatrix, _trusted, partial_trace
+from .states import ClduiState, DensityMatrix, _trusted
 
 
 @dataclass(frozen=True)
@@ -198,35 +199,6 @@ def extend_one_side(
     return _trusted(DensityMatrix, mat=out.reshape(d * d, d * d), factors=(d, d), warnings=warnings)
 
 
-def channel_from_choi(dm: DensityMatrix, tol: Tolerance = DEFAULT_TOL):
-    """Reconstruct the channel action E(rho) = d * Tr_A[J (rho^T (x) 1)].
-
-    Takes the bipartite Choi state J as a DensityMatrix (``choi(ch).dm``).
-    The factor d compensates for the unit normalization of the maximally
-    entangled state used to define J, so that the round trip
-    channel -> Choi -> channel closes exactly. Requires Tr_B(J) = 1/d (a
-    trace-preserving Choi).
-    """
-    if dm.factors is None:
-        raise ValueError("Choi operator must carry bipartite factors")
-    da, db = dm.factors
-    if da != db:
-        raise ValueError("only square (d -> d) channels are supported")
-    d = da
-    reduced = partial_trace(dm.mat, (d, d), traced="B")
-    if np.abs(reduced - np.eye(d) / d).max() > tol.eq_tol:
-        raise ValueError("not trace-preserving Choi: Tr_B(J) != 1/d")
-    j4 = dm.mat.reshape(d, d, d, d)
-
-    def action(rho) -> np.ndarray:
-        r = as_matrix(rho)
-        if r.shape != (d, d):
-            raise ValueError(f"dimension mismatch: expected {d} x {d} input")
-        return d * np.einsum("ikjl,ij->kl", j4, r)
-
-    return action
-
-
 def cp_boundary_uniform_alpha(crosstalk, *, tol: Tolerance = DEFAULT_TOL) -> float:
     """Most negative uniform real alpha in [-2, -1] keeping the channel completely positive.
 
@@ -268,10 +240,9 @@ def crosstalk_from_config(obj: dict) -> np.ndarray:
     """Parse the {"d": int, "P": [[...]]} part shared by channel and sweep configs."""
     if not isinstance(obj, dict):
         raise ValueError('config must be a JSON object with fields "d" and "P"')
-    try:
-        d = int(obj["d"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValueError('"d" must be an integer, the number of cores') from None
+    d = obj.get("d")
+    if d.__class__ is not int:
+        raise ValueError('"d" must be an integer, the number of cores')
     p = matrix_from_literal(obj.get("P"), '"P"')
     if p.shape != (d, d):
         raise ValueError(f"crosstalk table must be {d} x {d}, got {p.shape}")
@@ -286,10 +257,7 @@ def channel_from_config(obj: dict) -> McfChannel:
     if not isinstance(alpha, dict) or not ({"uniform", "matrix"} & alpha.keys()):
         raise ValueError('"alpha" must be {"uniform": real} or {"matrix": [[...]]}')
     if "uniform" in alpha:
-        try:
-            uniform = float(alpha["uniform"])
-        except (TypeError, ValueError):
-            raise ValueError('"uniform" in "alpha" must be a real number') from None
+        uniform = _json_number(alpha["uniform"], '"uniform" in "alpha" must be a real number')
         return McfChannel.with_uniform_dephasing(p, uniform)
     a = matrix_from_literal(alpha["matrix"], '"matrix" in "alpha"')
     if a.shape != (d, d):

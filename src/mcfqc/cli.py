@@ -37,11 +37,18 @@ from .channel import (
     verify_cptp,
 )
 from .cones import SearchBudget, classify_ds
-from .linalg import Tolerance, checked_real, matrix_from_literal, matrix_to_literal
+from .linalg import (
+    Tolerance,
+    _json_number,
+    check_distribution,
+    checked_real,
+    matrix_from_literal,
+    matrix_to_literal,
+)
 from .pipeline import run_protocol, sweep_alpha
 from .presets import BOUND6_M, DEMO_ALPHA_GRID, DEMO_CROSSTALK_5
 from .states import Conclusion, max_coherent, state_from_json, state_to_json
-from .symmetric_states import DsState, channel_from_ds, m_matrix
+from .symmetric_states import channel_from_ds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,34 +200,36 @@ def _emit(args, obj) -> int:
 
 
 def _ds_matrix_from_input(obj: dict) -> np.ndarray:
-    """Read a pair-weight matrix from {"d", "M"} or {"d", "p": {"ii", "ij"}}."""
+    """Read a pair-weight matrix M from {"d", "M"} or {"d", "p": {"ii", "ij"}}.
+
+    The "p" form lists the Dicke weights: p_ii for i = 0..d-1, then p_ij for
+    i < j in row-major order. They must form a distribution, and M has
+    M_ii = p_ii and M_ij = M_ji = p_ij / 2.
+    """
     if not isinstance(obj, dict):
         raise ValueError('input must be a JSON object with "d" and "M" or "p"')
-    try:
-        d = int(obj["d"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValueError('"d" must be an integer, the matrix order') from None
+    d = obj.get("d")
+    if d.__class__ is not int or d < 1:
+        raise ValueError('"d" must be a positive integer, the matrix order')
     if "M" in obj:
         m = matrix_from_literal(obj["M"], '"M"')
         if m.shape != (d, d):
             raise ValueError(f"pair-weight matrix must be {d} x {d}, got {m.shape}")
         return checked_real(m, "pair-weight matrix must be real")
     if "p" in obj:
-        try:
-            diag = [float(x) for x in obj["p"]["ii"]]
-            upper = [float(x) for x in obj["p"]["ij"]]
-        except (KeyError, TypeError, ValueError):
-            raise ValueError('"p" must be {"ii": [d numbers], "ij": [d(d-1)/2 numbers]}') from None
+        malformed = '"p" must be {"ii": [d numbers], "ij": [d(d-1)/2 numbers]}'
+        p = obj["p"]
+        if not isinstance(p, dict) or not all(isinstance(p.get(k), list) for k in ("ii", "ij")):
+            raise ValueError(malformed)
+        diag = [_json_number(x, malformed) for x in p["ii"]]
+        upper = [_json_number(x, malformed) for x in p["ij"]]
         if len(diag) != d or len(upper) != d * (d - 1) // 2:
             raise ValueError("weight lists must have lengths d and d(d-1)/2")
         w = np.zeros((d, d))
+        w[np.triu_indices(d, 1)] = upper
         np.fill_diagonal(w, diag)
-        k = 0
-        for i in range(d):
-            for j in range(i + 1, d):
-                w[i, j] = upper[k]
-                k += 1
-        return m_matrix(DsState(d, w))
+        check_distribution(w, "weights")
+        return (w + w.T) / 2
     raise ValueError('input must contain "M" or "p"')
 
 
@@ -300,10 +309,10 @@ def cmd_sweep(args) -> int:
     tol = _tolerance(args)
     cfg = _load_json(args.input)
     p = crosstalk_from_config(cfg)
-    try:
-        grid = [float(a) for a in cfg["grid"]]
-    except (KeyError, TypeError, ValueError):
-        raise ValueError('"grid" must be a list of real alpha values') from None
+    malformed = '"grid" must be a list of real alpha values'
+    if not isinstance(cfg.get("grid"), list):
+        raise ValueError(malformed)
+    grid = [_json_number(a, malformed) for a in cfg["grid"]]
     rows = sweep_alpha(p, grid, tol=tol, budget=_budget(args))
     table = {
         "d": p.shape[0],

@@ -8,6 +8,7 @@ blocking concerns.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,6 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(as_matrix(m), compute_uv=False).sum())
 
 
-def entrywise_one_norm(m) -> float:
-    """Sum of the absolute values of all entries."""
-    return float(np.abs(as_matrix(m)).sum())
-
-
 def checked_hermitian(
     a: np.ndarray, message: str = "not Hermitian", tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
@@ -75,16 +71,14 @@ def checked_real(a: np.ndarray, message: str) -> np.ndarray:
     return a.real
 
 
-def checked_real_symmetric(
-    m, name: str, tol: Tolerance = DEFAULT_TOL, asymmetry: str = "is not symmetric"
-) -> np.ndarray:
+def checked_real_symmetric(m, name: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Real square matrix symmetric within eq_tol; errors read "<name> must be
-    real", "<name> must be square" and "<name> <asymmetry>"."""
+    real", "<name> must be square" and "<name> is not symmetric"."""
     a = checked_real(as_matrix(m), f"{name} must be real")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square")
     if np.abs(a - a.T).max() > tol.eq_tol:
-        raise ValueError(f"{name} {asymmetry}")
+        raise ValueError(f"{name} is not symmetric")
     return a
 
 
@@ -138,25 +132,41 @@ def matrix_to_literal(m) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
+# The classes json.load gives JSON numbers; bool, an int subclass, is not one.
+_JSON_NUMBER = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
+
+
+def _json_number(x, message: str) -> float:
+    """x as a float if it is a finite JSON number (see _JSON_NUMBER), else
+    ValueError(message). The range test is exact for ints of any size."""
+    if x.__class__ in _JSON_NUMBER and -_FLOAT_MAX <= x <= _FLOAT_MAX:
+        return float(x)
+    raise ValueError(message)
+
+
 def matrix_from_literal(rows, name: str = "matrix literal") -> np.ndarray:
     """Parse the row-major literal format written by matrix_to_literal.
 
-    Each entry is either a bare number or a [re, im] pair; the two styles may
-    be mixed freely within one matrix. Errors call the literal ``name``.
+    Each entry is either a JSON number or a [re, im] pair of JSON numbers;
+    the two styles may be mixed freely within one matrix. Errors call the
+    literal ``name``.
     """
 
     def entry(e):
-        try:
-            if not isinstance(e, (list, tuple)):
-                return complex(float(e), 0.0)
-            if len(e) == 2:
-                return complex(float(e[0]), float(e[1]))
-        except (TypeError, ValueError):
-            pass
+        if e.__class__ in _JSON_NUMBER:
+            return complex(e)
+        if isinstance(e, (list, tuple)) and len(e) == 2:
+            re, im = e
+            if re.__class__ in _JSON_NUMBER and im.__class__ in _JSON_NUMBER:
+                return complex(re, im)
         raise ValueError(f"{name} entries must be numbers or [re, im] pairs, got {e!r}")
 
     if not (isinstance(rows, (list, tuple)) and rows and all(isinstance(r, (list, tuple)) for r in rows)):
         raise ValueError(f"{name} must be a non-empty list of rows, each a list of entries")
     if len(set(map(len, rows))) != 1:
         raise ValueError(f"rows of {name} must all have the same length")
-    return as_matrix([[entry(e) for e in row] for row in rows])
+    try:
+        return as_matrix([[entry(e) for e in row] for row in rows])
+    except OverflowError:
+        raise ValueError(f"{name} entries must be finite") from None

@@ -6,9 +6,12 @@ and certifies the entanglement of the output state: the Choi state, which
 coherences) pair of d x d tables (the tests compare its dense expansion
 with the one-sided application). Each criterion is decided once, by the
 closed-form test on that pair. The report holds that one pair as its
-``cldui`` field and section; no d^2 x d^2 matrix is built. The dense
-criteria of ``states`` are mathematically equivalent; the tests keep them
-as the reference the closed forms are checked against.
+``cldui`` field and section; no d^2 x d^2 matrix is built. When the pair is
+(M, M) with M symmetric, the output is the partial transpose of a
+Dicke-diagonal state, and M, already written as the weights, is classified
+through the matrix cones in ``ds_section``. The dense criteria of
+``states`` are mathematically equivalent; the tests keep them as the
+reference the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -29,15 +32,15 @@ from .channel import (
 )
 from .cones import Classification, ConeVerdict, SearchBudget, classify_ds
 from .linalg import DEFAULT_TOL, Tolerance, matrix_to_literal
-from .states import ClduiState, CriterionVerdict, DensityMatrix, max_coherent
+from .states import ClduiState, CriterionVerdict, max_coherent
 from .symmetric_states import cldui_is_ppt, cldui_realignment_test
 
 
 @dataclass(frozen=True)
 class DsSection:
-    """Pair-weight view of the output state, present only when it exists."""
+    """Cone verdict on the pair-weight matrix, the report's weights, present
+    only when the output state is the pair (M, M)."""
 
-    m: np.ndarray
     classification: Classification
     cone: ConeVerdict
 
@@ -74,7 +77,6 @@ class CertificationReport:
         }
         if self.ds_section is not None:
             obj["ds_section"] = {
-                "m": matrix_to_literal(self.ds_section.m),
                 "classification": self.ds_section.classification.value,
                 "cone": self.ds_section.cone.to_json_dict(),
             }
@@ -82,7 +84,7 @@ class CertificationReport:
 
 
 def _verdict_to_json(v: CriterionVerdict) -> dict:
-    return {"name": v.name, "value": v.value, "flag": v.flag.value, "details": dict(v.details)}
+    return {"name": v.name, "value": v.value, "flag": v.flag.value}
 
 
 def config_digest(obj) -> str:
@@ -128,7 +130,7 @@ def run_protocol(
     hat_matches = np.abs(cldui.coherences - weights).max() <= tol.eq_tol
     if symmetric and hat_matches:
         classification, cone = classify_ds(weights, budget, tol)
-        ds_section = DsSection(weights, classification, cone)
+        ds_section = DsSection(classification, cone)
 
     config = {
         "channel": channel_to_config(ch),
@@ -165,20 +167,19 @@ def sweep_alpha(
     crosstalk,
     grid,
     *,
-    input_state: DensityMatrix | None = None,
     tol: Tolerance = DEFAULT_TOL,
     budget: SearchBudget = SearchBudget(),
 ) -> list[SweepRow]:
     """Evaluate a uniform-dephasing family over a grid of alpha values.
 
     Each row records the physicality check, the certification verdicts of
-    the protocol output, and the channel action on a reference input state
-    (the maximally coherent state by default). Rows follow the grid order;
+    the protocol output, and the channel action on the maximally coherent
+    state, built once for the whole grid. Rows follow the grid order;
     channels outside the completely positive window are evaluated in forced
     mode rather than skipped.
     """
     rows = []
-    probe = input_state
+    probe = None
     for alpha in grid:
         ch = McfChannel.with_uniform_dephasing(crosstalk, float(alpha))
         if probe is None:

@@ -8,7 +8,7 @@ flag rather than a boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -43,7 +43,6 @@ class CriterionVerdict:
     name: str
     value: float
     flag: Conclusion
-    details: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -178,17 +177,6 @@ def max_coherent(d: int) -> DensityMatrix:
     return DensityMatrix(np.full((d, d), 1.0 / d, dtype=complex))
 
 
-def partial_trace(mat, factors: tuple[int, int], traced: str = "A") -> np.ndarray:
-    """Trace out one tensor factor of a (d_a*d_b) x (d_a*d_b) matrix."""
-    da, db = factors
-    t = as_matrix(mat).reshape(da, db, da, db)
-    if traced == "A":
-        return np.einsum("ikil->kl", t)
-    if traced == "B":
-        return np.einsum("ikjk->ij", t)
-    raise ValueError("traced side must be 'A' or 'B'")
-
-
 def partial_transpose(rho: DensityMatrix, side: str = "B") -> np.ndarray:
     """Transpose one tensor factor; applying it twice is the identity."""
     if rho.factors is None:
@@ -246,7 +234,10 @@ def state_to_json(rho: DensityMatrix) -> dict:
 
 
 def state_from_json(obj: dict) -> DensityMatrix:
-    mat = matrix_from_literal(obj["mat"])
+    """Parse {"mat": [[...]]} with optional "d_a", "d_b" and "warnings", as written by state_to_json."""
+    if not isinstance(obj, dict) or "mat" not in obj:
+        raise ValueError('state must be a JSON object with field "mat"')
+    mat = matrix_from_literal(obj["mat"], '"mat"')
     factors = None
     if obj.get("d_a") is not None and obj.get("d_b") is not None:
         factors = (int(obj["d_a"]), int(obj["d_b"]))

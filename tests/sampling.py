@@ -10,7 +10,7 @@ import numpy as np
 
 from mcfqc.channel import McfChannel
 from mcfqc.states import DensityMatrix
-from mcfqc.symmetric_states import ClduiState, DsState
+from mcfqc.symmetric_states import ClduiState
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator, factors=None) -> DensityMatrix:
@@ -78,13 +78,14 @@ def random_dnn_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     return m / m.sum()
 
 
-def random_ds_state(d: int, rng: np.random.Generator) -> DsState:
-    """Random Dicke-diagonal state with Dirichlet weights."""
-    w = np.zeros((d, d))
+def random_ds_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Pair-weight matrix M of a random Dicke-diagonal state with Dirichlet
+    weights p: M_ii = p_ii and M_ij = M_ji = p_ij / 2."""
+    m = np.zeros((d, d))
     probs = rng.dirichlet(np.ones(d * (d + 1) // 2))
     k = 0
     for i in range(d):
         for j in range(i, d):
-            w[i, j] = probs[k]
+            m[i, j] = m[j, i] = probs[k] if i == j else probs[k] / 2
             k += 1
-    return DsState(d, w)
+    return m

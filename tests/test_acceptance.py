@@ -16,12 +16,12 @@ import numpy as np
 from mcfqc.channel import (
     McfChannel,
     apply,
-    channel_from_choi,
     choi,
     cp_boundary_uniform_alpha,
     verify_cptp,
 )
 from mcfqc.cones import Classification, SearchBudget, classify_ds, cp_factorize, cp_sufficient, is_dnn
+from mcfqc.linalg import pair_to_dense
 from mcfqc.presets import BOUND6_M, DEMO_ALPHA_GRID, DEMO_CROSSTALK_5
 from mcfqc.states import (
     DensityMatrix,
@@ -33,9 +33,9 @@ from mcfqc.symmetric_states import (
     channel_from_ds,
     cldui_is_ppt,
     cldui_realignment_test,
-    ds_partial_transpose,
 )
 
+from oracle import channel_from_choi
 from sampling import (
     random_cldui_state,
     random_cptp_channel,
@@ -175,9 +175,9 @@ def test_criterion_5_criterion_equivalences():
     worst_spectrum_gap = 0.0
     for trial in range(50):
         d = 2 + trial % 5
-        s = random_ds_state(d, rng)
-        g, m = ds_partial_transpose(s)
-        off = [s.weights[i, j] / 2 for i in range(d) for j in range(i + 1, d)]
+        m = random_ds_state(d, rng)
+        g = pair_to_dense(m, m)
+        off = [m[i, j] for i in range(d) for j in range(i + 1, d)]
         expected = np.sort(list(np.linalg.eigvalsh(m)) + off + off)
         gap = np.abs(np.sort(np.linalg.eigvalsh(g)) - expected).max()
         worst_spectrum_gap = max(worst_spectrum_gap, float(gap))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mcfqc.channel import (
     McfChannel,
     apply,
-    channel_from_choi,
     channel_from_config,
     channel_to_config,
     choi,
@@ -18,6 +17,7 @@ from mcfqc.linalg import DEFAULT_TOL
 from mcfqc.presets import DEMO_CROSSTALK_5
 from mcfqc.states import DensityMatrix, max_coherent, max_entangled
 
+from oracle import channel_from_choi
 from sampling import random_cptp_channel, random_density_matrix
 
 

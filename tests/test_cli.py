@@ -1,13 +1,16 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfqc import cli
@@ -116,16 +119,43 @@ class TestExitCodes:
             ("cp-test", {"d": 2, "M": [[0.5, None], [0.0, 0.5]]}, '"M" entries must be numbers'),
             ("sweep", {"d": 2, "P": [[1, 0], [0, 1]]}, '"grid" must be a list'),
             ("sweep", {"d": 2, "P": [[1, 0], [0, 1]], "grid": -1}, '"grid" must be a list'),
+            ("apply", [1], 'state must be a JSON object with field "mat"'),
+            ("apply", {}, 'state must be a JSON object with field "mat"'),
+            ("channel-check", {"d": 2.7, "P": [[1, 0], [0, 1]], "alpha": {"uniform": 0.0}},
+             '"d" must be an integer'),
+            ("channel-check", {"d": True, "P": [[1]], "alpha": {"uniform": 0.0}},
+             '"d" must be an integer'),
+            ("channel-check", {"d": 2, "P": [["1", "0"], ["0", "1"]], "alpha": {"uniform": 0.0}},
+             '"P" entries must be numbers'),
+            ("channel-check", {"d": 2, "P": [[10**400, 0], [0, 1]], "alpha": {"uniform": 0.0}},
+             '"P" entries must be finite'),
+            ("channel-check", {"d": 2, "P": [[1, 0], [0, 1]], "alpha": {"uniform": "0"}},
+             '"uniform" in "alpha" must be a real number'),
+            ("channel-check",
+             {"d": 2, "P": [[1, 0], [0, 1]], "alpha": {"matrix": [[0, [-1, "0"]], [-1, 0]]}},
+             '"matrix" in "alpha" entries must be numbers'),
+            ("sweep", {"d": 2, "P": [[1, 0], [0, 1]], "grid": "12"}, '"grid" must be a list'),
+            ("cp-test", {"d": 2.0, "M": [[0.5, 0], [0, 0.5]]}, '"d" must be a positive integer'),
+            ("cp-test", {"d": 2, "M": [[0.5, False], [0, 0.5]]}, '"M" entries must be numbers'),
+            ("cp-test", {"d": 2, "p": {"ii": ["0.5", "0.5"], "ij": [0]}}, '"p" must be {"ii"'),
+            ("cp-test", {"d": 2, "p": {"ii": "05", "ij": [0]}}, '"p" must be {"ii"'),
         ],
         ids=[
             "top-level-list", "null-entry", "no-alpha", "string-d", "flat-P",
             "p-without-ij", "null-in-M", "no-grid", "scalar-grid",
+            "state-list", "state-without-mat", "fractional-d", "bool-d", "string-in-P",
+            "huge-int-in-P", "string-uniform", "string-in-matrix-pair", "string-grid",
+            "float-d-for-M", "bool-in-M", "string-in-p", "string-p-list",
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, command, payload, field):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload), encoding="utf-8")
-        assert cli.main([command, "-i", str(bad)]) == 1
+        argv = [command, "-i", str(bad)]
+        if command == "apply":
+            # the malformed file is the state; the channel is valid
+            argv = [command, "-i", str(write_demo_channel(tmp_path)), "--state", str(bad)]
+        assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"mcfqc {command}: error: {field}")
 
@@ -294,7 +324,7 @@ class TestCertify:
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
         assert hashlib.sha256(reports[0]).hexdigest() == (
-            "0fc3fc9e1f7e7836588e3f8cf868ac5da061cb76d655fe5388602db85a75e27a"
+            "45bb4056d5a6dd6ec9119408b55698d2456e0c0ea483d9d0cd6c396ee6a25469"
         )
 
     def test_non_cp_channel_needs_force(self, tmp_path):
@@ -317,7 +347,7 @@ class TestCertify:
             "channel", "cptp", "cldui", "verdicts",
             "ds_section", "provenance", "warnings", "tolerances",
         }
-        assert set(obj["ds_section"]) == {"m", "classification", "cone"}
+        assert set(obj["ds_section"]) == {"classification", "cone"}
         cone = obj["ds_section"]["cone"]
         assert set(cone) == {"dnn", "cp", "evidence", "factor", "search"}
         assert cone["factor"] is None
@@ -426,6 +456,55 @@ class TestCpTest:
         assert set(obj) == {"classification", "dnn", "cp", "evidence", "tolerances"} | extra
         if "search" in obj:
             assert set(obj["search"]) == SEARCH_KEYS
+
+
+def dicke_weights(d: int, rng: np.random.Generator, balanced: bool) -> tuple[list, list]:
+    """Random Dicke weights as the "p" lists (ii, ij). Balanced weights have
+    a pair-weight matrix whose rows sum to 1/d, which design accepts: a mix
+    of symmetrized permutation matrices."""
+    iu = np.triu_indices(d, 1)
+    if not balanced:
+        probs = rng.dirichlet(np.ones(d * (d + 1) // 2))
+        return probs[:d].tolist(), probs[d:].tolist()
+    mix = rng.dirichlet(np.ones(3))
+    m = sum(c * np.eye(d)[rng.permutation(d)] for c in mix)
+    m = (m + m.T) / (2 * d)
+    return np.diag(m).tolist(), (2 * m[iu]).tolist()
+
+
+def run_in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestPairWeightForms:
+    @settings(max_examples=30)
+    @given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), balanced=st.booleans())
+    def test_p_and_m_forms_give_identical_output(self, d, seed, balanced):
+        diag, upper = dicke_weights(d, np.random.default_rng(seed), balanced)
+        m = np.zeros((d, d))
+        m[np.triu_indices(d, 1)] = np.array(upper) / 2
+        m = m + m.T + np.diag(diag)
+        with tempfile.TemporaryDirectory() as tmp:
+            forms = {
+                "p": {"d": d, "p": {"ii": diag, "ij": upper}},
+                "M": {"d": d, "M": matrix_to_literal(m)},
+            }
+            results = {}
+            for name, obj in forms.items():
+                path = Path(tmp) / f"{name}.json"
+                path.write_text(json.dumps(obj), encoding="utf-8")
+                results[name] = [
+                    run_in_process(["cp-test", "-i", str(path), "--restarts", "2", "--max-iters", "500"]),
+                    run_in_process(["design", "-i", str(path)]),
+                ]
+        assert results["p"] == results["M"]
+        (cp_code, cp_out, _), (design_code, _, _) = results["p"]
+        assert cp_code == 0 and cp_out
+        if balanced:
+            assert design_code == 0
 
 
 class TestSweep:

@@ -15,8 +15,8 @@ from mcfqc.cones import (
 )
 from mcfqc.presets import BOUND6_M
 from mcfqc.states import Conclusion, is_ppt
-from mcfqc.symmetric_states import ds_from_m_matrix, ds_to_density
 
+from oracle import ds_to_density
 from sampling import random_dnn_matrix
 
 FAST_BUDGET = SearchBudget(restarts=20, max_iters=20_000, residual_target=1e-7, seed=0)
@@ -251,6 +251,6 @@ class TestClassifyDs:
                 continue
             if dnn:
                 continue
-            rho = ds_to_density(ds_from_m_matrix(m))
+            rho = ds_to_density(m)
             assert is_ppt(rho).flag == Conclusion.ENTANGLED
             checked += 1

@@ -4,13 +4,11 @@ import pytest
 from mcfqc.channel import McfChannel, hat_block
 from mcfqc.linalg import (
     Tolerance,
-    entrywise_one_norm,
     is_psd,
     matrix_from_literal,
     matrix_to_literal,
     trace_norm,
 )
-from mcfqc.presets import BOUND6_M
 
 
 def random_unitary(n, rng):
@@ -49,24 +47,6 @@ class TestTraceNorm:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             trace_norm(np.zeros((0, 0)))
-
-
-class TestEntrywiseOneNorm:
-    def test_small(self):
-        assert entrywise_one_norm([[1, -2], [0, 3]]) == 6.0
-
-    def test_zero_matrix(self):
-        assert entrywise_one_norm(np.zeros((3, 3))) == 0.0
-
-    def test_bound6_matrix_has_unit_mass(self):
-        # six rows each summing to 1/6, all entries nonnegative
-        assert entrywise_one_norm(BOUND6_M) == pytest.approx(1.0, abs=1e-12)
-
-    def test_definitional_recomputation(self):
-        rng = np.random.default_rng(3)
-        m = random_complex(4, rng)
-        expected = sum(abs(m[i, j]) for i in range(4) for j in range(4))
-        assert entrywise_one_norm(m) == pytest.approx(expected, rel=1e-15)
 
 
 class TestIsPsd:

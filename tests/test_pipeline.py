@@ -70,7 +70,7 @@ class TestRunProtocol:
         assert report.verdict("cldui-ppt").flag == Conclusion.INCONCLUSIVE
         assert report.ds_section is not None
         assert report.ds_section.classification == Classification.PPT_ENTANGLED_CANDIDATE
-        assert np.abs(report.ds_section.m - BOUND6_M).max() < 1e-12
+        assert np.abs(report.cldui.weights - BOUND6_M).max() < 1e-12
 
     def test_ds_section_absent_for_generic_channels(self):
         ch = McfChannel.with_uniform_dephasing(DEMO_CROSSTALK_5, -0.8)
@@ -122,11 +122,11 @@ class TestRunProtocol:
 
     def test_decomposition_counts(self, monkeypatch):
         # No d^2 x d^2 decomposition: the d x d ones are the one hat-block
-        # check and the two closed-form trace norms.
+        # check and the closed-form realignment trace norm.
         calls = count_decompositions(monkeypatch)
         report = run_protocol(random_cptp_channel(5, np.random.default_rng(13)), budget=FAST_BUDGET)
         assert report.ds_section is None
-        assert calls == {("eigvalsh", 5): 1, ("svd", 5): 2}
+        assert calls == {("eigvalsh", 5): 1, ("svd", 5): 1}
 
     @given(
         d=st.integers(2, 6),
@@ -230,7 +230,7 @@ class TestSweepAlpha:
         grid = [0.0, -0.8, -1.0, -1.2]
         calls = count_decompositions(monkeypatch)
         assert len(sweep_alpha(DEMO_CROSSTALK_5, grid, budget=FAST_BUDGET)) == len(grid)
-        assert calls == {("eigvalsh", 5): len(grid) + 1, ("svd", 5): 2 * len(grid)}
+        assert calls == {("eigvalsh", 5): len(grid) + 1, ("svd", 5): len(grid)}
 
     def test_row_serialization(self):
         rows = sweep_alpha(np.eye(2), [-0.5], budget=FAST_BUDGET)

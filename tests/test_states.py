@@ -9,7 +9,6 @@ from mcfqc.states import (
     is_ppt,
     max_coherent,
     max_entangled,
-    partial_trace,
     partial_transpose,
     realign,
     realignment_trace_norm,
@@ -17,8 +16,8 @@ from mcfqc.states import (
     state_to_json,
 )
 from mcfqc.presets import BOUND6_M
-from mcfqc.symmetric_states import ds_from_m_matrix, ds_to_density
 
+from oracle import ds_to_density, partial_trace
 from sampling import random_density_matrix, random_separable_state
 
 
@@ -177,7 +176,7 @@ class TestIsPpt:
     def test_bound6_ds_state_is_ppt(self):
         # the pair-weight matrix is PSD and all weights are nonnegative, so
         # the partial-transpose spectrum is nonnegative
-        rho = ds_to_density(ds_from_m_matrix(BOUND6_M))
+        rho = ds_to_density(BOUND6_M)
         verdict = is_ppt(rho)
         assert verdict.flag == Conclusion.INCONCLUSIVE
         assert verdict.value >= -1e-12

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mcfqc.channel import McfChannel, choi, verify_cptp
-from mcfqc.linalg import DEFAULT_TOL, trace_norm
+from mcfqc.cli import _ds_matrix_from_input
+from mcfqc.linalg import DEFAULT_TOL, pair_to_dense, trace_norm
 from mcfqc.presets import BOUND6_M, DEMO_CROSSTALK_5
 from mcfqc.states import (
     Conclusion,
@@ -17,17 +18,13 @@ from mcfqc.states import (
 )
 from mcfqc.symmetric_states import (
     ClduiState,
-    DsState,
     channel_from_ds,
     cldui_from_choi,
     cldui_is_ppt,
     cldui_realignment_test,
-    ds_from_m_matrix,
-    ds_partial_transpose,
-    ds_to_density,
-    m_matrix,
 )
 
+from oracle import ds_to_density
 from sampling import random_cldui_state, random_cptp_channel, random_ds_state
 
 
@@ -242,17 +239,12 @@ class TestCldulCriteria:
             assert abs(fast.value - generic.value) < 1e-10
             assert fast.flag == generic.flag
 
-    def test_diagnostic_one_norm_gaps_reported(self):
-        verdict = cldui_realignment_test(bell_pair_tables(3))
-        assert verdict.details["weights_one_norm_gap"] == pytest.approx(0.0, abs=1e-12)
-        assert verdict.details["coherences_one_norm_gap"] == pytest.approx(2.0, abs=1e-12)
-
 
 class TestDsState:
+    """The dense Dicke-diagonal state of a pair-weight matrix (tests/oracle.py)."""
+
     def test_point_mass_on_a_pair(self):
-        w = np.zeros((2, 2))
-        w[0, 0] = 1.0
-        rho = ds_to_density(DsState(2, w))
+        rho = ds_to_density(np.diag([1.0, 0.0]))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert np.abs(rho.mat - expected).max() == 0.0
@@ -277,29 +269,25 @@ class TestDsState:
         # independent route: assemble the state directly from the basis op
         rng = np.random.default_rng(10)
         for d in (2, 3, 5):
-            s = random_ds_state(d, rng)
+            m = random_ds_state(d, rng)
             basis = dicke_basis(d)
             expected = np.zeros((d * d, d * d), dtype=complex)
             k = 0
             for i in range(d):
                 for j in range(i, d):
-                    expected += s.weights[i, j] * np.outer(basis[k], basis[k].conj())
+                    weight = m[i, i] if i == j else 2 * m[i, j]
+                    expected += weight * np.outer(basis[k], basis[k].conj())
                     k += 1
-            assert np.abs(ds_to_density(s).mat - expected).max() < 1e-14
-
-    def test_rejects_lower_triangular_weights(self):
-        w = np.zeros((2, 2))
-        w[1, 0] = 1.0
-        with pytest.raises(ValueError, match="upper triangular"):
-            DsState(2, w)
+            assert np.abs(ds_to_density(m).mat - expected).max() < 1e-14
 
 
 class TestDsPartialTranspose:
+    """The partial transpose of a Dicke-diagonal state is the pair (M, M)."""
+
     def test_diagonal_pair_weights(self):
-        w = np.zeros((2, 2))
-        w[0, 0] = w[1, 1] = 0.5
-        g, m = ds_partial_transpose(DsState(2, w))
+        m = _ds_matrix_from_input({"d": 2, "p": {"ii": [0.5, 0.5], "ij": [0.0]}})
         assert np.abs(m - np.diag([0.5, 0.5])).max() == 0.0
+        g = pair_to_dense(m, m)
         off_positions = [1, 2]  # |01> and |10> diagonal entries
         assert all(g[k, k] == 0.0 for k in off_positions)
 
@@ -307,31 +295,30 @@ class TestDsPartialTranspose:
         rng = np.random.default_rng(7)
         for trial in range(20):
             d = 2 + trial % 4
-            s = random_ds_state(d, rng)
-            g, _ = ds_partial_transpose(s)
-            generic = partial_transpose(ds_to_density(s), "B")
-            assert np.abs(g - generic).max() < 1e-12
+            m = random_ds_state(d, rng)
+            generic = partial_transpose(ds_to_density(m), "B")
+            assert np.abs(pair_to_dense(m, m) - generic).max() < 1e-12
 
     def test_spectrum_decomposition(self):
         rng = np.random.default_rng(8)
         for d in (3, 4, 6):
-            s = random_ds_state(d, rng)
-            g, m = ds_partial_transpose(s)
+            m = random_ds_state(d, rng)
+            g = pair_to_dense(m, m)
             block_eigs = list(np.linalg.eigvalsh(m))
-            off = [s.weights[i, j] / 2 for i in range(d) for j in range(i + 1, d)]
+            off = [m[i, j] for i in range(d) for j in range(i + 1, d)]
             expected = np.sort(block_eigs + off + off)
             assert np.allclose(np.sort(np.linalg.eigvalsh(g)), expected, atol=1e-10)
 
     def test_bound6_partial_transpose_is_psd(self):
-        g, m = ds_partial_transpose(ds_from_m_matrix(BOUND6_M))
+        g = partial_transpose(ds_to_density(BOUND6_M), "B")
         assert np.linalg.eigvalsh(g).min() > -1e-12
-        assert np.abs(m - BOUND6_M).max() < 1e-15
+        assert np.abs(g - pair_to_dense(BOUND6_M, BOUND6_M)).max() < 1e-15
 
     def test_expansion_is_cldui_when_psd(self):
         # the partial transpose of a Dicke-diagonal state has the invariant
         # structure with both tables equal to the pair-weight matrix
-        g, m = ds_partial_transpose(ds_from_m_matrix(BOUND6_M))
-        s = ClduiState(m, m)
+        g = partial_transpose(ds_to_density(BOUND6_M), "B")
+        s = ClduiState(BOUND6_M, BOUND6_M)
         assert np.abs(s.dm.mat - g).max() < 1e-12
 
 
@@ -349,7 +336,7 @@ class TestChannelFromDs:
         ch = channel_from_ds(BOUND6_M)
         j = choi(ch)
         assert np.abs(j.coherences - BOUND6_M).max() < 1e-12
-        g, _ = ds_partial_transpose(ds_from_m_matrix(BOUND6_M))
+        g = partial_transpose(ds_to_density(BOUND6_M), "B")
         assert np.abs(j.dm.mat - g).max() < 1e-12
 
     def test_identity_pair_weights_give_full_dephasing(self):
@@ -388,10 +375,3 @@ class TestChannelFromDs:
         assert np.abs(s.coherences - BOUND6_M).max() < 1e-12
         assert np.abs(s.weights - BOUND6_M).max() < 1e-12
 
-
-class TestMMatrixRoundTrip:
-    def test_round_trip(self):
-        rng = np.random.default_rng(9)
-        s = random_ds_state(4, rng)
-        back = ds_from_m_matrix(m_matrix(s))
-        assert np.abs(back.weights - s.weights).max() < 1e-15
