@@ -16,6 +16,7 @@ scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,17 @@ from .linalg import (
 from .states import ClduiState, DensityMatrix, _trusted
 
 
+def _checked_crosstalk(m) -> np.ndarray:
+    """Real part (a view) of a square, real, nonnegative crosstalk table, else ValueError."""
+    p = as_matrix(m)
+    if p.shape[0] != p.shape[1]:
+        raise ValueError("crosstalk table must be square")
+    p = checked_real(p, "crosstalk table must be real")
+    if p.min() < 0.0:
+        raise ValueError("crosstalk probabilities must be nonnegative")
+    return p
+
+
 @dataclass(frozen=True)
 class McfChannel:
     """Channel parameters: real crosstalk table and Hermitian dephasing table.
@@ -48,12 +60,7 @@ class McfChannel:
     dephasing: np.ndarray
 
     def __post_init__(self):
-        p = as_matrix(self.crosstalk)
-        if p.shape[0] != p.shape[1]:
-            raise ValueError("crosstalk table must be square")
-        p = checked_real(p, "crosstalk table must be real").copy()
-        if p.min() < 0.0:
-            raise ValueError("crosstalk probabilities must be nonnegative")
+        p = _checked_crosstalk(self.crosstalk).copy()
         a = as_matrix(self.dephasing)
         if a.shape != p.shape:
             raise ValueError("dephasing table must match the crosstalk table shape")
@@ -209,12 +216,18 @@ def cp_boundary_uniform_alpha(crosstalk, *, tol: Tolerance = DEFAULT_TOL) -> flo
     t, and the result is -1 - t* for the largest double t* in [0, 1] with
     g(t*) <= 1 (or -2 when g(1) <= 1). At the result the hat block's
     computed least eigenvalue may round to just below -psd_floor.
+
+    The crosstalk table is checked as McfChannel checks it, with the same
+    messages. Each bisection step evaluates g on Python floats, its sum
+    exactly rounded by math.fsum and so independent of any summation order;
+    the result is at most 1 ulp from the one a numpy (pairwise) sum gives.
     """
-    ch = McfChannel.with_uniform_dephasing(crosstalk, -1.0)
-    shifted = np.diag(ch.crosstalk) + ch.d * tol.psd_floor
+    p = _checked_crosstalk(crosstalk)
+    floor = p.shape[0] * tol.psd_floor
+    shifted = [x + floor for x in np.diag(p).tolist()]
 
     def within(t: float) -> bool:
-        return t * float(np.sum(1.0 / (shifted + t))) <= 1.0
+        return t * math.fsum([1.0 / (s + t) for s in shifted]) <= 1.0
 
     if within(1.0):
         return -2.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -134,6 +135,7 @@ def matrix_to_literal(m) -> list:
 
 # The classes json.load gives JSON numbers; bool, an int subclass, is not one.
 _JSON_NUMBER = frozenset((int, float))
+_PAIR = frozenset((list, tuple))
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -151,22 +153,37 @@ def matrix_from_literal(rows, name: str = "matrix literal") -> np.ndarray:
     Each entry is either a JSON number or a [re, im] pair of JSON numbers;
     the two styles may be mixed freely within one matrix. Errors call the
     literal ``name``.
+
+    A literal of numbers only, or of pairs only, is converted by one
+    np.array call, pairs read as a complex view of the float pairs (so a
+    signed zero in either part survives). A literal that mixes the two, or
+    has an entry of neither kind, goes entry by entry, which names the
+    first bad entry.
     """
-
-    def entry(e):
-        if e.__class__ in _JSON_NUMBER:
-            return complex(e)
-        if isinstance(e, (list, tuple)) and len(e) == 2:
-            re, im = e
-            if re.__class__ in _JSON_NUMBER and im.__class__ in _JSON_NUMBER:
-                return complex(re, im)
-        raise ValueError(f"{name} entries must be numbers or [re, im] pairs, got {e!r}")
-
     if not (isinstance(rows, (list, tuple)) and rows and all(isinstance(r, (list, tuple)) for r in rows)):
         raise ValueError(f"{name} must be a non-empty list of rows, each a list of entries")
     if len(set(map(len, rows))) != 1:
         raise ValueError(f"rows of {name} must all have the same length")
+    shape = (len(rows), len(rows[0]))
+    entries = list(chain.from_iterable(rows))
+    kinds = set(map(type, entries))
     try:
-        return as_matrix([[entry(e) for e in row] for row in rows])
+        if kinds <= _JSON_NUMBER:
+            return as_matrix(np.array(entries, dtype=float).reshape(shape))
+        if kinds <= _PAIR and set(map(len, entries)) == {2}:
+            parts = list(chain.from_iterable(entries))
+            if set(map(type, parts)) <= _JSON_NUMBER:
+                return as_matrix(np.array(parts, dtype=float).view(complex).reshape(shape))
+        return as_matrix([[_entry(e, name) for e in row] for row in rows])
     except OverflowError:
         raise ValueError(f"{name} entries must be finite") from None
+
+
+def _entry(e, name: str) -> complex:
+    if e.__class__ in _JSON_NUMBER:
+        return complex(e)
+    if isinstance(e, (list, tuple)) and len(e) == 2:
+        re, im = e
+        if re.__class__ in _JSON_NUMBER and im.__class__ in _JSON_NUMBER:
+            return complex(re, im)
+    raise ValueError(f"{name} entries must be numbers or [re, im] pairs, got {e!r}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class DsSection:
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """``channel_config`` is ``channel_to_config(channel)``, the dict the
+    provenance digest was computed from; the report writes it as is."""
+
     channel: McfChannel
     cptp: CptpReport
     cldui: ClduiState
@@ -54,6 +57,7 @@ class CertificationReport:
     ds_section: DsSection | None
     provenance: dict
     warnings: tuple[str, ...]
+    channel_config: dict = field(repr=False, compare=False)
 
     def verdict(self, name: str) -> CriterionVerdict:
         for v in self.verdicts:
@@ -63,7 +67,7 @@ class CertificationReport:
 
     def to_json_dict(self) -> dict:
         obj = {
-            "channel": channel_to_config(self.channel),
+            "channel": self.channel_config,
             "cptp": self.cptp.to_json_dict(),
             "cldui": {
                 "weights": matrix_to_literal(self.cldui.weights),
@@ -109,7 +113,35 @@ def run_protocol(
     completely positive window is refused unless forced, in which case the
     report is marked as an unphysical-parameter evaluation and the criteria
     are still computed mechanically.
+
+    The channel is serialized once: the provenance digest hashes that
+    config, and the report writes the same dict.
     """
+    cptp, cldui, verdicts, ds_section, warnings = _certify(ch, tol, budget, force)
+    channel = channel_to_config(ch)
+    tolerances = _fields(tol)
+    config = {
+        "channel": channel,
+        "budget": _fields(budget),
+        "force": force,
+        "tolerances": tolerances,
+    }
+    provenance = {
+        "config_sha256": config_digest(config),
+        "seed": budget.seed,
+        "timestamp": timestamp,
+        "tolerances": tolerances,
+    }
+    return CertificationReport(ch, cptp, cldui, verdicts, ds_section, provenance, warnings, channel)
+
+
+def _fields(obj) -> dict:
+    """A flat dataclass as a dict: dataclasses.asdict without its deep copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _certify(ch: McfChannel, tol: Tolerance, budget: SearchBudget, force: bool):
+    """run_protocol without the provenance: (cptp, cldui, verdicts, ds_section, warnings)."""
     cptp = verify_cptp(ch, tol)
     if not cptp.tp_ok:
         raise ValueError("channel is not trace-preserving (crosstalk rows must sum to 1)")
@@ -131,20 +163,7 @@ def run_protocol(
     if symmetric and hat_matches:
         classification, cone = classify_ds(weights, budget, tol)
         ds_section = DsSection(classification, cone)
-
-    config = {
-        "channel": channel_to_config(ch),
-        "budget": asdict(budget),
-        "force": force,
-        "tolerances": asdict(tol),
-    }
-    provenance = {
-        "config_sha256": config_digest(config),
-        "seed": budget.seed,
-        "timestamp": timestamp,
-        "tolerances": asdict(tol),
-    }
-    return CertificationReport(ch, cptp, cldui, verdicts, ds_section, provenance, warnings)
+    return cptp, cldui, verdicts, ds_section, warnings
 
 
 @dataclass(frozen=True)
@@ -176,7 +195,8 @@ def sweep_alpha(
     the protocol output, and the channel action on the maximally coherent
     state, built once for the whole grid. Rows follow the grid order;
     channels outside the completely positive window are evaluated in forced
-    mode rather than skipped.
+    mode rather than skipped. Rows carry no provenance, so no row builds or
+    hashes a channel config.
     """
     rows = []
     probe = None
@@ -184,7 +204,7 @@ def sweep_alpha(
         ch = McfChannel.with_uniform_dephasing(crosstalk, float(alpha))
         if probe is None:
             probe = max_coherent(ch.d)
-        report = run_protocol(ch, tol=tol, budget=budget, force=True)
-        action = _apply(ch, probe, report.cptp, force=True)
-        rows.append(SweepRow(float(alpha), report.cptp.cp_ok, report.verdicts, action.mat))
+        cptp, _, verdicts, _, _ = _certify(ch, tol, budget, force=True)
+        action = _apply(ch, probe, cptp, force=True)
+        rows.append(SweepRow(float(alpha), cptp.cp_ok, verdicts, action.mat))
     return rows

@@ -233,12 +233,29 @@ def state_to_json(rho: DensityMatrix) -> dict:
     return obj
 
 
+# The warnings channel.apply marks an unphysical evaluation with; the only
+# ones a state file may carry.
+_APPLY_WARNINGS = ("not trace-preserving", "not completely positive")
+
+
 def state_from_json(obj: dict) -> DensityMatrix:
-    """Parse {"mat": [[...]]} with optional "d_a", "d_b" and "warnings", as written by state_to_json."""
+    """Parse {"mat": [[...]]} with optional "d_a", "d_b" and "warnings", as written by state_to_json.
+
+    "d_a" and "d_b" must be JSON integers, and "warnings" a list of the
+    warnings ``channel.apply`` writes: a warning waives the state's trace
+    and positivity checks, so no other text may.
+    """
     if not isinstance(obj, dict) or "mat" not in obj:
         raise ValueError('state must be a JSON object with field "mat"')
     mat = matrix_from_literal(obj["mat"], '"mat"')
+    for key in ("d_a", "d_b"):
+        if obj.get(key) is not None and obj[key].__class__ is not int:
+            raise ValueError(f'"{key}" must be an integer, a tensor factor dimension')
     factors = None
     if obj.get("d_a") is not None and obj.get("d_b") is not None:
-        factors = (int(obj["d_a"]), int(obj["d_b"]))
-    return DensityMatrix(mat, factors=factors, warnings=tuple(obj.get("warnings", ())))
+        factors = (obj["d_a"], obj["d_b"])
+    warnings = obj.get("warnings", [])
+    if not isinstance(warnings, list) or not all(w in _APPLY_WARNINGS for w in warnings):
+        raise ValueError('"warnings" must be a list of the warnings apply writes: '
+                         + ", ".join(map(repr, _APPLY_WARNINGS)))
+    return DensityMatrix(mat, factors=factors, warnings=tuple(warnings))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mcfqc.linalg import DEFAULT_TOL, Tolerance, as_matrix
+from mcfqc.linalg import _JSON_NUMBER, DEFAULT_TOL, Tolerance, as_matrix
 from mcfqc.states import DensityMatrix
 
 
@@ -68,3 +68,46 @@ def channel_from_choi(dm: DensityMatrix, tol: Tolerance = DEFAULT_TOL):
         return d * np.einsum("ikjl,ij->kl", j4, r)
 
     return action
+
+
+def matrix_from_literal_by_entry(rows, name: str = "matrix literal") -> np.ndarray:
+    """matrix_from_literal as it was before its one-call conversion: every
+    entry converted by its own complex() call."""
+
+    def entry(e):
+        if e.__class__ in _JSON_NUMBER:
+            return complex(e)
+        if isinstance(e, (list, tuple)) and len(e) == 2:
+            re, im = e
+            if re.__class__ in _JSON_NUMBER and im.__class__ in _JSON_NUMBER:
+                return complex(re, im)
+        raise ValueError(f"{name} entries must be numbers or [re, im] pairs, got {e!r}")
+
+    if not (isinstance(rows, (list, tuple)) and rows and all(isinstance(r, (list, tuple)) for r in rows)):
+        raise ValueError(f"{name} must be a non-empty list of rows, each a list of entries")
+    if len(set(map(len, rows))) != 1:
+        raise ValueError(f"rows of {name} must all have the same length")
+    try:
+        return as_matrix([[entry(e) for e in row] for row in rows])
+    except OverflowError:
+        raise ValueError(f"{name} entries must be finite") from None
+
+
+def cp_boundary_by_np_sum(crosstalk, tol: Tolerance = DEFAULT_TOL) -> float:
+    """cp_boundary_uniform_alpha as it was before it summed with math.fsum:
+    the same bisection, each step's sum taken by np.sum."""
+    diag = np.diag(np.asarray(crosstalk, dtype=float))
+    shifted = diag + len(diag) * tol.psd_floor
+
+    def within(t: float) -> bool:
+        return t * float(np.sum(1.0 / (shifted + t))) <= 1.0
+
+    if within(1.0):
+        return -2.0
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if within(mid):
+            lo = mid
+        else:
+            hi = mid
+    return -1.0 - lo

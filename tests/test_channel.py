@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +19,7 @@ from mcfqc.linalg import DEFAULT_TOL
 from mcfqc.presets import DEMO_CROSSTALK_5
 from mcfqc.states import DensityMatrix, max_coherent, max_entangled
 
-from oracle import channel_from_choi
+from oracle import channel_from_choi, cp_boundary_by_np_sum
 from sampling import random_cptp_channel, random_density_matrix
 
 
@@ -217,6 +219,51 @@ class TestVerifyCptp:
                 assert boundary <= hi + 1e-11
                 assert hat_min(p, boundary) >= -floor - 1e-15
                 assert boundary == -2.0 or hat_min(p, boundary - 1e-6) < -floor
+
+    def test_boundary_within_one_ulp_of_the_np_sum_bisection(self, record_property):
+        # The bisection sums with math.fsum; the oracle takes each step's sum
+        # with np.sum. Tables: d = 2..40, Dirichlet concentrations 0.05 to 3,
+        # every fourth with one diagonal entry pushed towards 0. Each result
+        # must also pass the benchmark's two checks: at most the floor-free
+        # edge plus 1e-11, and a hat block within psd_floor of PSD.
+        floor = DEFAULT_TOL.psd_floor
+
+        def hat_min(p, alpha):
+            h = np.full(p.shape, (1.0 + alpha) / len(p))
+            np.fill_diagonal(h, np.diag(p) / len(p))
+            return np.linalg.eigvalsh(h)[0]
+
+        def floor_free_edge(p):
+            # d * hat = D + t (I - J) with t = -(1 + alpha) and D = diag(P_ii)
+            # is PSD iff t * lambda_max(D^-1/2 (J - I) D^-1/2) <= 1: one
+            # eigensolve, no bisection. The matrix is scaled by min(P_ii) so
+            # that tiny diagonals cannot overflow it; a zero one closes the
+            # window at t = 0.
+            diag = np.diag(p)
+            if diag.min() == 0.0:
+                return -1.0
+            r = np.sqrt(diag.min() / diag)
+            k = np.outer(r, r)
+            np.fill_diagonal(k, 0.0)
+            return max(-2.0, -1.0 - diag.min() / np.linalg.eigvalsh(k)[-1])
+
+        rng = np.random.default_rng(2026)
+        tables = 2000
+        moved = 0
+        for n in range(tables):
+            d = int(rng.integers(2, 41))
+            p = rng.dirichlet(np.full(d, rng.uniform(0.05, 3.0)), size=d)
+            if n % 4 == 0:
+                i = rng.integers(d)
+                p[i, i] = 10.0 ** rng.uniform(-15, -8)
+                p[i] /= p[i].sum()
+            boundary = cp_boundary_uniform_alpha(p)
+            reference = cp_boundary_by_np_sum(p)
+            assert abs(boundary - reference) <= math.ulp(reference)
+            assert boundary <= floor_free_edge(p) + 1e-11
+            assert hat_min(p, boundary) >= -floor - 1e-15
+            moved += boundary != reference
+        record_property("tables_moved_by_one_ulp", f"{moved} of {tables}")
 
 
 class TestChannelFromChoi:

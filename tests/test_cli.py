@@ -139,6 +139,12 @@ class TestExitCodes:
             ("cp-test", {"d": 2, "M": [[0.5, False], [0, 0.5]]}, '"M" entries must be numbers'),
             ("cp-test", {"d": 2, "p": {"ii": ["0.5", "0.5"], "ij": [0]}}, '"p" must be {"ii"'),
             ("cp-test", {"d": 2, "p": {"ii": "05", "ij": [0]}}, '"p" must be {"ii"'),
+            ("apply", {"mat": [[2, 0, 0], [0, -1, 0], [0, 0, 0]], "warnings": "x"},
+             '"warnings" must be a list of the warnings apply writes'),
+            ("apply", {"mat": [[2, 0, 0], [0, -1, 0], [0, 0, 0]], "warnings": ["x"]},
+             '"warnings" must be a list of the warnings apply writes'),
+            ("apply", {"d_a": 1.5, "d_b": 3, "mat": np.eye(3).tolist()}, '"d_a" must be an integer'),
+            ("apply", {"d_a": 1, "d_b": True, "mat": np.eye(1).tolist()}, '"d_b" must be an integer'),
         ],
         ids=[
             "top-level-list", "null-entry", "no-alpha", "string-d", "flat-P",
@@ -146,6 +152,7 @@ class TestExitCodes:
             "state-list", "state-without-mat", "fractional-d", "bool-d", "string-in-P",
             "huge-int-in-P", "string-uniform", "string-in-matrix-pair", "string-grid",
             "float-d-for-M", "bool-in-M", "string-in-p", "string-p-list",
+            "string-warnings", "unknown-warning", "fractional-d_a", "bool-d_b",
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, command, payload, field):
@@ -272,6 +279,19 @@ class TestApplyAndChoi:
         state.write_text(json.dumps({"mat": matrix_to_literal(np.eye(5) / 5)}), encoding="utf-8")
         proc = run_cli("apply", "--input", str(cfg), "--state", str(state))
         assert proc.returncode == 0
+
+    def test_apply_reads_back_the_warnings_it_writes(self, tmp_path, capsys):
+        # Rows summing to 0.9 and alpha = -1.9: neither trace-preserving nor
+        # completely positive, so the output carries both warnings.
+        cfg = write_uniform_channel(tmp_path, 0.9 * np.eye(3), -1.9)
+        state = tmp_path / "state.json"
+        warnings = ["not trace-preserving", "not completely positive"]
+        for rounds in (1, 2):
+            argv = ["apply", "-i", str(cfg), "--force"]
+            assert cli.main(argv + (["--state", str(state)] if rounds > 1 else [])) == 0
+            out = json.loads(capsys.readouterr().out)["state"]
+            assert out["warnings"] == warnings * rounds
+            state.write_text(json.dumps(out), encoding="utf-8")
 
     def test_choi(self, tmp_path):
         cfg = write_demo_channel(tmp_path)
@@ -531,6 +551,21 @@ class TestSweep:
         for row in rows:
             written = np.loadtxt(outdir / f"action_alpha_{row['alpha']!r}.csv", delimiter=",")
             assert np.array_equal(written, np.array(row["action_abs"]))
+
+    def test_stdout_bytes_are_pinned(self, tmp_path):
+        # Pinned across commits. The table's CP window ends at alpha ~ -1.2157:
+        # five grid points lie inside it and five outside, so both the
+        # verdicts and the forced rows reach these bytes.
+        p = [[0.7, 0.1, 0.1, 0.1], [0.2, 0.6, 0.1, 0.1],
+             [0.05, 0.15, 0.7, 0.1], [0.1, 0.1, 0.2, 0.6]]
+        grid = [-0.5, -1.0, -1.1, -1.2, -1.215, -1.2158, -1.22, -1.3, -1.5, -2.0]
+        proc = run_cli("sweep", "--input", str(write_sweep(tmp_path, np.array(p), grid)))
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)["rows"]
+        assert [row["cp_ok"] for row in rows] == [True] * 5 + [False] * 5
+        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
+            "ccec078edeae8eef3bc922547e890b9fd0ad5497a251a3aa9c373a5e8aeadd68"
+        )
 
     def test_complex_crosstalk_is_rejected(self, tmp_path):
         p = np.array([[0.9, 0.1 + 0.01j], [0.1, 0.9]])

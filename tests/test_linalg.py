@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcfqc.channel import McfChannel, hat_block
 from mcfqc.linalg import (
@@ -9,6 +11,8 @@ from mcfqc.linalg import (
     matrix_to_literal,
     trace_norm,
 )
+
+from oracle import matrix_from_literal_by_entry
 
 
 def random_unitary(n, rng):
@@ -129,3 +133,88 @@ class TestMatrixLiteral:
             matrix_from_literal([[[1.0, 2.0, 3.0]]])
         with pytest.raises(ValueError):
             matrix_from_literal([])
+
+
+# JSON numbers, with the ints that straddle float precision and range.
+NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.integers(-(2**1100), 2**1100),
+    st.sampled_from([
+        -0.0, 2**53 + 1, -(2**53) - 1, 2**63, 2**64 + 1, 2**1024 - 2**970,
+        2**1024 - 2**970 - 1, -(2**1024), 10**400,
+    ]),
+)
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+SIGNED_ZERO_PAIRS = st.tuples(st.sampled_from([0.0, -0.0, 0, 1.5]), st.sampled_from([0.0, -0.0])).map(list)
+BAD_ENTRIES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(NUMBERS, max_size=3),
+    st.tuples(st.one_of(st.booleans(), st.text(max_size=1), PAIRS), NUMBERS).map(list),
+    st.tuples(NUMBERS, st.one_of(st.booleans(), st.none())).map(list),
+)
+STYLES = {
+    "real": NUMBERS,
+    "pairs": st.one_of(PAIRS, SIGNED_ZERO_PAIRS),
+    "mixed": st.one_of(NUMBERS, PAIRS, SIGNED_ZERO_PAIRS),
+}
+
+
+@st.composite
+def literals(draw):
+    """A literal of numbers, of pairs, or of both, row by row or entry by
+    entry; sometimes with one bad entry or one row of another length."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    style = draw(st.sampled_from(sorted(STYLES) + ["rows"]))
+    rows = []
+    for _ in range(r):
+        entry = STYLES[draw(st.sampled_from(["real", "pairs"]))] if style == "rows" else STYLES[style]
+        rows.append(draw(st.lists(entry, min_size=c, max_size=c)))
+    fault = draw(st.sampled_from(["none", "none", "entry", "ragged"]))
+    if fault == "entry" and c:
+        rows[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = draw(BAD_ENTRIES)
+    elif fault == "ragged":
+        rows[draw(st.integers(0, r - 1))].append(draw(STYLES["mixed"]))
+    return rows
+
+
+def outcome(parse, rows):
+    try:
+        a = parse(rows, '"M"')
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestOneCallParsing:
+    @settings(max_examples=500)
+    @given(literals())
+    @example([[[1, 2], [False, 0]], [[0, -0.0], [3, 4]]])
+    @example([[1.0, True], [-0.0, 2**53 + 1]])
+    @example([[[0, -0.0], [2**1024, 0]]])
+    @example([[[1, 2], 3], [4, [-0.0, -0.0]]])
+    @example([[float("nan"), 1], [1, 1]])
+    def test_same_array_or_same_error_as_the_per_entry_parser(self, rows):
+        assert outcome(matrix_from_literal, rows) == outcome(matrix_from_literal_by_entry, rows)
+
+    def test_signed_zeros_survive_in_pairs(self):
+        m = matrix_from_literal([[[-0.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [1, 0]]])
+        assert np.signbit(m.real).tolist() == [[True, False], [True, False]]
+        assert np.signbit(m.imag).tolist() == [[True, True], [False, False]]
+
+    @pytest.mark.parametrize("rows, error", [
+        ([[1, True]], 'entries must be numbers or [re, im] pairs, got True'),
+        ([[[1, 2], [3, 4, 5]]], "got [3, 4, 5]"),
+        ([[[1, 2], [False, 0]]], "got [False, 0]"),
+        ([[1, 10**400]], "entries must be finite"),
+        ([[[0, -(10**400)]]], "entries must be finite"),
+        ([[1, float("nan")]], "matrix has non-finite entries"),
+        ([[[float("inf"), 0]]], "matrix has non-finite entries"),
+        ([["1", 2]], "got '1'"),
+    ])
+    def test_errors_name_the_entry(self, rows, error):
+        with pytest.raises(ValueError) as exc:
+            matrix_from_literal(rows)
+        assert error in str(exc.value)
