@@ -5,7 +5,8 @@ named on stderr), 2 on an I/O error. All numeric file output is written at
 full double precision so that golden files can be diffed without tolerances.
 Every JSON output, to stdout or to a file, is byte for byte
 ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, written by one
-writer, ``_dump_json``.
+writer, ``_dump_json``: ``linalg.dump_json``, which also writes the compact
+text the report's config digest hashes.
 
 ``main`` builds the argument parser on its first call in a process and
 reuses it on every later call, so in-process callers that run many
@@ -17,11 +18,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +40,7 @@ from .linalg import (
     _json_number,
     check_distribution,
     checked_real,
+    dump_json as _dump_json,
     matrix_from_literal,
     matrix_to_literal,
 )
@@ -93,86 +92,6 @@ def _budget(args) -> SearchBudget:
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _dump_json(obj) -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=True) plus a newline.
-
-    With indent set, the stdlib leaves its C encoder and formats every float
-    of a report's matrices through a Python generator. This writer makes
-    the same text and formats a whole row of finite floats, or of
-    [float, float] pairs, in one C-level call.
-    """
-    out: list[str] = []
-    _encode(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _encode(obj, nl: str, out: list[str]) -> None:
-    # nl is a newline plus the indent of the line on which obj closes.
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        row = _row_text(obj, inner)
-        if row is not None:
-            out += "[", inner, row, nl, "]"
-            return
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _encode(item, inner, out)
-            sep = "," + inner
-        out += nl, "]"
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            out += sep, encode_basestring_ascii(key), ": "
-            _encode(obj[key], inner, out)
-            sep = "," + inner
-        out += nl, "}"
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _float_text(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-
-
-def _row_text(row, inner: str) -> str | None:
-    """The text between the brackets of a non-empty list of finite floats or
-    of [float, float] pairs, whose items start on inner; None for any other list."""
-    kinds = set(map(type, row))
-    if kinds == {float}:
-        if all(map(math.isfinite, row)):
-            return ("," + inner).join(map(float.__repr__, row))
-    elif kinds == {list} and set(map(len, row)) == {2}:
-        flat = tuple(chain.from_iterable(row))
-        if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
-            pair_inner = inner + "  "
-            pair = "[" + pair_inner + "%r," + pair_inner + "%r" + inner + "]"
-            return ("," + inner).join([pair] * len(row)) % flat
-    return None
 
 
 def _write_json(path: Path, obj):

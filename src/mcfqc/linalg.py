@@ -1,16 +1,20 @@
-"""Dense complex linear algebra kernels and input checks shared by every other module.
+"""Dense complex linear algebra kernels, input checks and the JSON writer shared by every other module.
 
 Everything operates on plain numpy arrays (complex128, row-major). All
 objects in this package are small (at most a few dozen rows per tensor
 factor), so decompositions go straight through LAPACK with no sparsity or
-blocking concerns.
+blocking concerns. Matrices reach JSON through ``matrix_to_literal`` and
+``dump_json``, and come back through ``matrix_from_literal``.
 """
 
 from __future__ import annotations
 
+import marshal
+import math
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -125,12 +129,43 @@ def pair_to_dense(weights, coherences) -> np.ndarray:
     return mat
 
 
-def matrix_to_literal(m) -> list:
-    """Row-major JSON literal: bare floats if real, [re, im] pairs otherwise."""
-    a = as_matrix(m)
-    if np.all(a.imag == 0.0):
-        return a.real.tolist()
-    return np.stack([a.real, a.imag], -1).tolist()
+# The dtypes matrix_to_literal reads without a conversion.
+_FLOAT_DTYPES = (np.dtype(float), np.dtype(complex))
+
+
+class MatrixLiteral(list):
+    """A matrix_to_literal result: a plain nested list to every caller, plus
+    ``texts``, the float.__repr__ of each entry in row-major order ([re, im]
+    pairs flattened), so that dump_json formats each float once however
+    often the literal is written.
+
+    ``shape`` is the nested list's: (rows, columns), or (rows, columns, 2)
+    for pairs. ``key`` is the list's marshal form when the texts were made.
+    dump_json uses the texts only while the list still marshals to it, so a
+    literal a caller has changed is formatted again from its entries.
+    """
+
+    __slots__ = ("shape", "texts", "key")
+
+
+def matrix_to_literal(m) -> MatrixLiteral:
+    """Row-major JSON literal: bare floats if real, [re, im] pairs otherwise.
+
+    A float64 or complex128 array that is 2-D, non-empty and finite is read
+    as it is; anything else goes through as_matrix, which converts it or
+    names what is wrong.
+    """
+    a = np.asarray(m)
+    if not (a.dtype in _FLOAT_DTYPES and a.ndim == 2 and a.size and np.isfinite(a).all()):
+        a = as_matrix(a)
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], -1) if a.imag.any() else a.real
+    rows = a.tolist()
+    lit = MatrixLiteral(rows)
+    lit.shape = a.shape
+    lit.texts = tuple(map(float.__repr__, a.ravel().tolist()))
+    lit.key = marshal.dumps(rows, 2)
+    return lit
 
 
 # The classes json.load gives JSON numbers; bool, an int subclass, is not one.
@@ -187,3 +222,88 @@ def _entry(e, name: str) -> complex:
         if re.__class__ in _JSON_NUMBER and im.__class__ in _JSON_NUMBER:
             return complex(re, im)
     raise ValueError(f"{name} entries must be numbers or [re, im] pairs, got {e!r}")
+
+
+def dump_json(obj, compact: bool = False) -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True) plus a newline;
+    with compact, that of json.dumps(obj, sort_keys=True, separators=(",", ":")).
+
+    Dict keys must be strings. With indent set, the stdlib leaves its C
+    encoder and formats every float through a Python generator. This writer
+    makes the same text, and writes a MatrixLiteral by filling the texts it
+    carries into one template for the whole matrix, formatting no float.
+    """
+    out: list[str] = []
+    if compact:
+        _encode(obj, "", "", out)
+        return "".join(out)
+    _encode(obj, "\n", "  ", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(obj, nl: str, step: str, out: list[str]) -> None:
+    # nl comes before obj's closing bracket: a newline and the indent of the
+    # line obj closes on, or nothing when compact. step is one indent level.
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        if obj.__class__ is MatrixLiteral and (text := _literal_text(obj, nl, step)):
+            out.append(text)
+            return
+        inner = nl + step
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _encode(item, inner, step, out)
+            sep = "," + inner
+        out += nl, "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + step
+        colon = ": " if step else ":"
+        sep = "{" + inner
+        for key in sorted(obj):
+            out += sep, encode_basestring_ascii(key), colon
+            _encode(obj[key], inner, step, out)
+            sep = "," + inner
+        out += nl, "}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _literal_text(lit: MatrixLiteral, nl: str, step: str) -> str | None:
+    """The text of a literal from its texts, by one template fill; None if
+    it no longer marshals to its key (see MatrixLiteral)."""
+    try:
+        if marshal.dumps(list(lit), 2) != lit.key:
+            return None
+    except ValueError:  # an entry marshal cannot write, so not the literal's own
+        return None
+    template = "%s"
+    for depth in reversed(range(len(lit.shape))):
+        close = nl + step * depth
+        item = close + step
+        template = "[" + item + ("," + item).join([template] * lit.shape[depth]) + close + "]"
+    return template % lit.texts

@@ -17,7 +17,6 @@ reference the closed forms are checked against.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,7 +30,7 @@ from .channel import (
     verify_cptp,
 )
 from .cones import Classification, ConeVerdict, SearchBudget, classify_ds
-from .linalg import DEFAULT_TOL, Tolerance, matrix_to_literal
+from .linalg import DEFAULT_TOL, Tolerance, dump_json, matrix_to_literal
 from .states import ClduiState, CriterionVerdict, max_coherent
 from .symmetric_states import cldui_is_ppt, cldui_realignment_test
 
@@ -92,9 +91,11 @@ def _verdict_to_json(v: CriterionVerdict) -> dict:
 
 
 def config_digest(obj) -> str:
-    """sha256 of the canonical JSON encoding of a config object."""
-    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """sha256 of the canonical JSON encoding of a config object: the compact
+    text of linalg.dump_json, which the tests hold equal to
+    json.dumps(obj, sort_keys=True, separators=(",", ":")). The matrix
+    literals in the config are formatted once, for the digest and the report."""
+    return hashlib.sha256(dump_json(obj, compact=True).encode("utf-8")).hexdigest()
 
 
 def run_protocol(

@@ -6,6 +6,9 @@ entry by entry or by index contraction, independently of those tables.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 
 from mcfqc.linalg import _JSON_NUMBER, DEFAULT_TOL, Tolerance, as_matrix
@@ -111,3 +114,10 @@ def cp_boundary_by_np_sum(crosstalk, tol: Tolerance = DEFAULT_TOL) -> float:
         else:
             hi = mid
     return -1.0 - lo
+
+
+def config_digest_by_json_dumps(obj) -> str:
+    """pipeline.config_digest as it was before it hashed the package's own
+    compact JSON text: the stdlib's canonical encoding."""
+    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -13,6 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcfqc.channel
+import mcfqc.linalg
+import mcfqc.states
 from mcfqc import cli
 from mcfqc.channel import channel_to_config, cp_boundary_uniform_alpha
 from mcfqc.cli import build_parser
@@ -346,6 +349,25 @@ class TestCertify:
         assert hashlib.sha256(reports[0]).hexdigest() == (
             "45bb4056d5a6dd6ec9119408b55698d2456e0c0ea483d9d0cd6c396ee6a25469"
         )
+
+    def test_as_matrix_counts(self, tmp_path, monkeypatch):
+        # The 2 parses, 3 constructor checks, the crosstalk check, the
+        # hat-block is_psd and the realignment trace norm. Writing the
+        # package's own float and complex arrays takes no as_matrix copy.
+        calls = []
+        real = mcfqc.linalg.as_matrix
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return real(m)
+
+        cfg = tmp_path / "channel.json"
+        ch = random_cptp_channel(6, np.random.default_rng(6))
+        cfg.write_text(json.dumps(channel_to_config(ch)), encoding="utf-8")
+        for module in (mcfqc.linalg, mcfqc.channel, mcfqc.states):
+            monkeypatch.setattr(module, "as_matrix", counted)
+        assert cli.main(["certify", "--input", str(cfg), "--outdir", str(tmp_path), *FAST_SEARCH]) == 0
+        assert calls == [(6, 6)] * 8
 
     def test_non_cp_channel_needs_force(self, tmp_path):
         cfg = write_demo_channel(tmp_path, alpha=-1.2)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from mcfqc.channel import McfChannel, hat_block
 from mcfqc.linalg import (
     Tolerance,
+    dump_json,
     is_psd,
     matrix_from_literal,
     matrix_to_literal,
@@ -13,6 +16,7 @@ from mcfqc.linalg import (
 )
 
 from oracle import matrix_from_literal_by_entry
+from test_cli import JSON_TREES
 
 
 def random_unitary(n, rng):
@@ -218,3 +222,78 @@ class TestOneCallParsing:
         with pytest.raises(ValueError) as exc:
             matrix_from_literal(rows)
         assert error in str(exc.value)
+
+
+def stdlib_texts(obj) -> tuple[str, str]:
+    """The stdlib's indented (plus a newline) and compact texts of obj."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n",
+            json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
+# Finite floats, with the ones whose shortest text is unusual.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7]),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Real or complex matrices of shape 1 x 1, 1 x n, n x 1 or n x n."""
+    n = draw(st.integers(2, 5))
+    shape = draw(st.sampled_from([(1, 1), (1, n), (n, 1), (n, n)]))
+    size = shape[0] * shape[1]
+    re = draw(st.lists(FINITE, min_size=size, max_size=size))
+    m = np.array(re).reshape(shape)
+    if draw(st.booleans()):
+        im = draw(st.lists(FINITE, min_size=size, max_size=size))
+        m = m + 1j * np.array(im).reshape(shape)
+    return m
+
+
+class TestDumpJsonForms:
+    """linalg.dump_json in both forms, and the literals it renders whole."""
+
+    @given(JSON_TREES)
+    def test_compact_matches_stdlib(self, obj):
+        assert dump_json(obj, compact=True) == stdlib_texts(obj)[1]
+
+    @given(matrices())
+    def test_literal_renders_the_stdlib_bytes(self, m):
+        lit = matrix_to_literal(m)
+        for obj in (lit, {"m": lit, "n": [lit, 1.5]}):
+            assert (dump_json(obj), dump_json(obj, compact=True)) == stdlib_texts(obj)
+
+    def test_literal_formats_each_entry_once(self):
+        m = np.array([[1 + 0.1j, -0.0], [1e16, 5e-324j]])
+        lit = matrix_to_literal(m)
+        assert lit == [[[1.0, 0.1], [-0.0, 0.0]], [[1e16, 0.0], [0.0, 5e-324]]]
+        assert lit.texts == ("1.0", "0.1", "-0.0", "0.0", "1e+16", "0.0", "0.0", "5e-324")
+
+    @pytest.mark.parametrize("change", [
+        lambda lit: lit[0].__setitem__(0, -0.0),
+        lambda lit: lit[0].__setitem__(1, 1),
+        lambda lit: lit[1].__setitem__(1, True),
+        lambda lit: lit[1].reverse(),
+        lambda lit: lit.append([2.5, 0.5]),
+        lambda lit: lit.__setitem__(0, (0.0, 1.0)),
+        lambda lit: lit[0].append(3.0),
+        lambda lit: lit.clear(),
+    ])
+    def test_changed_literal_is_formatted_again(self, change):
+        # A literal whose entries a caller has changed no longer matches the
+        # texts it carries; the writer formats its current entries instead.
+        lit = matrix_to_literal(np.array([[0.0, 1.0], [2.0, 1.0]]))
+        change(lit)
+        assert (dump_json(lit), dump_json(lit, compact=True)) == stdlib_texts(lit)
+
+    def test_changed_pair_is_formatted_again(self):
+        lit = matrix_to_literal(np.array([[1j, 2.0]]))
+        lit[0][0][1] = -0.0
+        assert (dump_json(lit), dump_json(lit, compact=True)) == stdlib_texts(lit)
+
+    def test_entry_the_stdlib_rejects(self):
+        lit = matrix_to_literal(np.eye(2))
+        lit[0][0] = object()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dump_json(lit)

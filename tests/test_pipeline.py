@@ -17,6 +17,7 @@ from mcfqc.presets import BOUND6_M, DEMO_CROSSTALK_5
 from mcfqc.states import Conclusion, is_ppt, max_entangled, realignment_trace_norm
 from mcfqc.symmetric_states import channel_from_ds
 
+from oracle import config_digest_by_json_dumps
 from sampling import random_cptp_channel
 
 FAST_BUDGET = SearchBudget(restarts=10, max_iters=10_000, residual_target=1e-7, seed=0)
@@ -204,6 +205,22 @@ class TestRunProtocol:
     def test_config_digest_is_stable(self):
         assert config_digest({"a": 1}) == config_digest({"a": 1})
         assert config_digest({"a": 1}) != config_digest({"a": 2})
+
+    @given(d=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from(["real", "complex", "uniform"]))
+    def test_config_digest_matches_json_dumps(self, d, seed, alpha):
+        # The digest hashes linalg.dump_json's compact text; the stdlib's
+        # canonical encoding of the same config must give the same hash.
+        rng = np.random.default_rng(seed)
+        ch = random_cptp_channel(d, rng)
+        if alpha == "real":
+            ch = McfChannel(ch.crosstalk, ch.dephasing.real)
+        channel = channel_to_config(ch)
+        if alpha == "uniform":
+            channel["alpha"] = {"uniform": float(rng.uniform(-1.0, 0.0))}
+        config = {"channel": channel, "budget": {"restarts": 5, "max_iters": 5000,
+                                                 "residual_target": 1e-7, "seed": seed},
+                  "force": bool(seed % 2), "tolerances": {"psd_floor": 1e-10, "eq_tol": 1e-10}}
+        assert config_digest(config) == config_digest_by_json_dumps(config)
 
 
 class TestSweepAlpha:
