@@ -263,12 +263,15 @@ def crosstalk_from_config(obj: dict) -> np.ndarray:
 
 
 def channel_from_config(obj: dict) -> McfChannel:
-    """Parse {"d": int, "P": [[...]], "alpha": {"uniform": x} | {"matrix": [[...]]}}."""
+    """Parse {"d": int, "P": [[...]], "alpha": {"uniform": x} | {"matrix": [[...]]}}.
+
+    "alpha" holds exactly one of the two forms.
+    """
     p = crosstalk_from_config(obj)
     d = p.shape[0]
     alpha = obj.get("alpha")
-    if not isinstance(alpha, dict) or not ({"uniform", "matrix"} & alpha.keys()):
-        raise ValueError('"alpha" must be {"uniform": real} or {"matrix": [[...]]}')
+    if not isinstance(alpha, dict) or len({"uniform", "matrix"} & alpha.keys()) != 1:
+        raise ValueError('"alpha" must be {"uniform": real} or {"matrix": [[...]]}, not both')
     if "uniform" in alpha:
         uniform = _json_number(alpha["uniform"], '"uniform" in "alpha" must be a real number')
         return McfChannel.with_uniform_dephasing(p, uniform)

@@ -45,7 +45,6 @@ class Classification(str, Enum):
     SEPARABLE = "separable"
     NPT_ENTANGLED = "npt-entangled"
     PPT_ENTANGLED_CANDIDATE = "ppt-entangled-candidate"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -99,20 +98,20 @@ class FactorizationResult:
 
 @dataclass(frozen=True)
 class ConeVerdict:
-    """Cone membership with checkable evidence attached."""
+    """Cone membership with checkable evidence; a found factor is ``search.factor``."""
 
     dnn: bool
     cp: CpStatus
     evidence: str
-    factor: np.ndarray | None = None
     search: FactorizationResult | None = None
 
     def to_json_dict(self) -> dict:
+        factor = None if self.search is None else self.search.factor
         return {
             "dnn": self.dnn,
             "cp": self.cp.value,
             "evidence": self.evidence,
-            "factor": None if self.factor is None else matrix_to_literal(self.factor),
+            "factor": None if factor is None else matrix_to_literal(factor),
             "search": None if self.search is None else self.search.to_json_dict(),
         }
 
@@ -362,7 +361,6 @@ def classify_ds(
         return Classification.SEPARABLE, ConeVerdict(True, CpStatus.YES, condition)
     result = _search(a, budget)
     if result.found:
-        verdict = ConeVerdict(True, CpStatus.YES, "factorization", result.factor, result)
-        return Classification.SEPARABLE, verdict
-    verdict = ConeVerdict(True, CpStatus.UNKNOWN, "search-not-found", None, result)
+        return Classification.SEPARABLE, ConeVerdict(True, CpStatus.YES, "factorization", result)
+    verdict = ConeVerdict(True, CpStatus.UNKNOWN, "search-not-found", result)
     return Classification.PPT_ENTANGLED_CANDIDATE, verdict

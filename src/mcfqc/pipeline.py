@@ -9,9 +9,9 @@ closed-form test on that pair. The report holds that one pair as its
 ``cldui`` field and section; no d^2 x d^2 matrix is built. When the pair is
 (M, M) with M symmetric, the output is the partial transpose of a
 Dicke-diagonal state, and M, already written as the weights, is classified
-through the matrix cones in ``ds_section``. The dense criteria of
-``states`` are mathematically equivalent; the tests keep them as the
-reference the closed forms are checked against.
+through the matrix cones in ``ds_section``; only ``run_protocol`` classifies
+M. The dense criteria of ``states`` are mathematically equivalent; the
+tests keep them as the reference the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ class DsSection:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """``channel_config`` is ``channel_to_config(channel)``, the dict the
+    """``channel_config`` is the certified channel's config, the dict the
     provenance digest was computed from; the report writes it as is."""
 
-    channel: McfChannel
     cptp: CptpReport
     cldui: ClduiState
     verdicts: tuple[CriterionVerdict, ...]
@@ -113,12 +112,19 @@ def run_protocol(
     once. Requires a trace-preserving channel. A channel outside the
     completely positive window is refused unless forced, in which case the
     report is marked as an unphysical-parameter evaluation and the criteria
-    are still computed mechanically.
+    are still computed mechanically. A pair (M, M) with M symmetric is
+    classified under the budget in ``ds_section``.
 
     The channel is serialized once: the provenance digest hashes that
     config, and the report writes the same dict.
     """
-    cptp, cldui, verdicts, ds_section, warnings = _certify(ch, tol, budget, force)
+    cptp, cldui, verdicts, warnings = _certify(ch, tol, force)
+    ds_section = None
+    weights = cldui.weights
+    symmetric = np.abs(weights - weights.T).max() <= tol.eq_tol
+    hat_matches = np.abs(cldui.coherences - weights).max() <= tol.eq_tol
+    if symmetric and hat_matches:
+        ds_section = DsSection(*classify_ds(weights, budget, tol))
     channel = channel_to_config(ch)
     tolerances = _fields(tol)
     config = {
@@ -133,7 +139,7 @@ def run_protocol(
         "timestamp": timestamp,
         "tolerances": tolerances,
     }
-    return CertificationReport(ch, cptp, cldui, verdicts, ds_section, provenance, warnings, channel)
+    return CertificationReport(cptp, cldui, verdicts, ds_section, provenance, warnings, channel)
 
 
 def _fields(obj) -> dict:
@@ -141,8 +147,9 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _certify(ch: McfChannel, tol: Tolerance, budget: SearchBudget, force: bool):
-    """run_protocol without the provenance: (cptp, cldui, verdicts, ds_section, warnings)."""
+def _certify(ch: McfChannel, tol: Tolerance, force: bool):
+    """The physicality gate and the criteria on the Choi pair, shared by
+    run_protocol and sweep_alpha: (cptp, cldui, verdicts, warnings)."""
     cptp = verify_cptp(ch, tol)
     if not cptp.tp_ok:
         raise ValueError("channel is not trace-preserving (crosstalk rows must sum to 1)")
@@ -156,15 +163,7 @@ def _certify(ch: McfChannel, tol: Tolerance, budget: SearchBudget, force: bool):
 
     cldui = _choi(ch, cptp)
     verdicts = (cldui_is_ppt(cldui, tol), cldui_realignment_test(cldui, tol))
-
-    ds_section = None
-    weights = cldui.weights
-    symmetric = np.abs(weights - weights.T).max() <= tol.eq_tol
-    hat_matches = np.abs(cldui.coherences - weights).max() <= tol.eq_tol
-    if symmetric and hat_matches:
-        classification, cone = classify_ds(weights, budget, tol)
-        ds_section = DsSection(classification, cone)
-    return cptp, cldui, verdicts, ds_section, warnings
+    return cptp, cldui, verdicts, warnings
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ def sweep_alpha(
     state, built once for the whole grid. Rows follow the grid order;
     channels outside the completely positive window are evaluated in forced
     mode rather than skipped. Rows carry no provenance, so no row builds or
-    hashes a channel config.
+    hashes a channel config, and no cone section, so ``budget`` goes unused.
     """
     rows = []
     probe = None
@@ -205,7 +204,7 @@ def sweep_alpha(
         ch = McfChannel.with_uniform_dephasing(crosstalk, float(alpha))
         if probe is None:
             probe = max_coherent(ch.d)
-        cptp, _, verdicts, _, _ = _certify(ch, tol, budget, force=True)
+        cptp, _, verdicts, _ = _certify(ch, tol, force=True)
         action = _apply(ch, probe, cptp, force=True)
         rows.append(SweepRow(float(alpha), cptp.cp_ok, verdicts, action.mat))
     return rows

@@ -2,8 +2,8 @@
 
 The two criteria implemented here (positivity of the partial transpose and
 the realigned-matrix trace norm) are one-sided: they can certify
-entanglement but never separability, which is why verdicts carry a tri-state
-flag rather than a boolean.
+entanglement but never separability, which is why a verdict's flag reads
+"entangled" or "inconclusive", never "separable".
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from .linalg import (
 
 
 class Conclusion(str, Enum):
-    """Tri-state outcome of a one-sided entanglement test."""
+    """Outcome of a one-sided entanglement test."""
 
     ENTANGLED = "entangled"
     INCONCLUSIVE = "inconclusive"
-    NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass(frozen=True)
@@ -241,9 +240,9 @@ _APPLY_WARNINGS = ("not trace-preserving", "not completely positive")
 def state_from_json(obj: dict) -> DensityMatrix:
     """Parse {"mat": [[...]]} with optional "d_a", "d_b" and "warnings", as written by state_to_json.
 
-    "d_a" and "d_b" must be JSON integers, and "warnings" a list of the
-    warnings ``channel.apply`` writes: a warning waives the state's trace
-    and positivity checks, so no other text may.
+    "d_a" and "d_b" must be JSON integers, given both or neither, and
+    "warnings" a list of the warnings ``channel.apply`` writes: a warning
+    waives the state's trace and positivity checks, so no other text may.
     """
     if not isinstance(obj, dict) or "mat" not in obj:
         raise ValueError('state must be a JSON object with field "mat"')
@@ -251,9 +250,11 @@ def state_from_json(obj: dict) -> DensityMatrix:
     for key in ("d_a", "d_b"):
         if obj.get(key) is not None and obj[key].__class__ is not int:
             raise ValueError(f'"{key}" must be an integer, a tensor factor dimension')
-    factors = None
-    if obj.get("d_a") is not None and obj.get("d_b") is not None:
-        factors = (obj["d_a"], obj["d_b"])
+    factors = (obj.get("d_a"), obj.get("d_b"))
+    if factors == (None, None):
+        factors = None
+    elif None in factors:
+        raise ValueError('"d_a" and "d_b" must be given together, or neither')
     warnings = obj.get("warnings", [])
     if not isinstance(warnings, list) or not all(w in _APPLY_WARNINGS for w in warnings):
         raise ValueError('"warnings" must be a list of the warnings apply writes: '

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import mcfqc.channel
 import mcfqc.linalg
+import mcfqc.pipeline
 import mcfqc.states
 from mcfqc import cli
 from mcfqc.channel import channel_to_config, cp_boundary_uniform_alpha
 from mcfqc.cli import build_parser
-from mcfqc.cones import SearchBudget
+from mcfqc.cones import Classification, ConeVerdict, CpStatus, FactorizationResult, SearchBudget
 from mcfqc.linalg import Tolerance, matrix_to_literal
 from mcfqc.presets import BOUND6_M, DEMO_ALPHA_GRID, DEMO_CROSSTALK_5
 from mcfqc.symmetric_states import channel_from_ds
@@ -148,6 +149,13 @@ class TestExitCodes:
              '"warnings" must be a list of the warnings apply writes'),
             ("apply", {"d_a": 1.5, "d_b": 3, "mat": np.eye(3).tolist()}, '"d_a" must be an integer'),
             ("apply", {"d_a": 1, "d_b": True, "mat": np.eye(1).tolist()}, '"d_b" must be an integer'),
+            ("channel-check",
+             {"d": 2, "P": [[1, 0], [0, 1]], "alpha": {"uniform": -0.5, "matrix": [[0, 5], [5, 0]]}},
+             '"alpha" must be {"uniform": real} or {"matrix": [[...]]}, not both'),
+            ("cp-test", {"d": 2, "M": [[0.5, 0], [0, 0.5]], "p": {"ii": [0.5, 0.5], "ij": [0]}},
+             'input must contain "M" or "p", not both'),
+            ("apply", {"d_a": 3, "mat": (np.eye(3) / 3).tolist()},
+             '"d_a" and "d_b" must be given together'),
         ],
         ids=[
             "top-level-list", "null-entry", "no-alpha", "string-d", "flat-P",
@@ -156,6 +164,7 @@ class TestExitCodes:
             "huge-int-in-P", "string-uniform", "string-in-matrix-pair", "string-grid",
             "float-d-for-M", "bool-in-M", "string-in-p", "string-p-list",
             "string-warnings", "unknown-warning", "fractional-d_a", "bool-d_b",
+            "uniform-and-matrix-alpha", "M-and-p", "d_a-without-d_b",
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, capsys, command, payload, field):
@@ -645,6 +654,19 @@ class TestDemoBound6:
         for out in (out1, out2):
             assert run_cli("demo-bound6", "--outdir", str(out), *FAST_SEARCH).returncode == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("evidence", ["diag-dominant", "factorization"])
+    def test_separable_classification_fails(self, tmp_path, capsys, monkeypatch, evidence):
+        search = None
+        if evidence == "factorization":
+            exits = {"target": 1, "stall": 0, "budget": 0}
+            search = FactorizationResult(True, np.sqrt(BOUND6_M), 0.0, 1, 50, 0, exits)
+        verdict = ConeVerdict(True, CpStatus.YES, evidence, search)
+        monkeypatch.setattr(mcfqc.pipeline, "classify_ds",
+                            lambda *args: (Classification.SEPARABLE, verdict))
+        assert cli.main(["demo-bound6", "--outdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"demo-bound6: classification is separable (evidence {evidence})\n"
 
 
 def stdlib_dump(obj) -> str:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import mcfqc.cones
 import mcfqc.linalg
 import mcfqc.states
 from mcfqc import cli
@@ -248,6 +249,23 @@ class TestSweepAlpha:
         calls = count_decompositions(monkeypatch)
         assert len(sweep_alpha(DEMO_CROSSTALK_5, grid, budget=FAST_BUDGET)) == len(grid)
         assert calls == {("eigvalsh", 5): len(grid) + 1, ("svd", 5): len(grid)}
+
+    def test_runs_no_cone_search(self, monkeypatch):
+        # At alpha = q - 1 the output is the pair (M, M) with M = P/6, which
+        # run_protocol classifies by a search; a sweep row has no cone section.
+        q = 0.14
+        p = np.full((6, 6), q) + np.diag(np.full(6, 0.3 - q))
+        grid = [q - 1.0, -0.5, 0.0]
+        searches = []
+        search = mcfqc.cones._search
+        monkeypatch.setattr(mcfqc.cones, "_search",
+                            lambda *args: searches.append(args) or search(*args))
+        rows = sweep_alpha(p, grid, budget=FAST_BUDGET)
+        assert searches == []
+        for row, alpha in zip(rows, grid):
+            ch = McfChannel.with_uniform_dephasing(p, alpha)
+            assert row.verdicts == run_protocol(ch, budget=FAST_BUDGET, force=True).verdicts
+        assert len(searches) == 1
 
     def test_row_serialization(self):
         rows = sweep_alpha(np.eye(2), [-0.5], budget=FAST_BUDGET)
