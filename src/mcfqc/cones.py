@@ -1,7 +1,8 @@
 """Doubly-nonnegative and completely-positive cone membership.
 
 Deciding completely-positive membership exactly is NP-hard, so the search
-here is heuristic: cheap sufficient conditions first, then a seeded
+here is heuristic: cheap sufficient conditions first (the last of them a
+nonnegative principal square root, which is itself a factor), then a seeded
 multi-restart projected-gradient factorization. Restart 0 runs alone, since
 it settles most inputs that can be settled; the remaining restarts descend
 together, as stacked arrays of bounded size. A factorization that hits the residual
@@ -24,7 +25,8 @@ from .linalg import DEFAULT_TOL, Tolerance, checked_real_symmetric, matrix_to_li
 _EXIT_REASONS = ("target", "stall", "budget")
 # The descent compares residuals every _CHECK_EVERY iterations and at its last
 # one; a restart has stalled after _STALL_CHECKS checks in a row that cut its
-# best residual by less than a relative 1e-6.
+# best residual by less than a relative 1e-6, or after one such check with its
+# step at the 4e-12 floor, where it barely moves.
 _CHECK_EVERY = 50
 _STALL_CHECKS = 12
 # Restarts after the first descend in stacks of at most this many factor
@@ -98,20 +100,25 @@ class FactorizationResult:
 
 @dataclass(frozen=True)
 class ConeVerdict:
-    """Cone membership with checkable evidence; a found factor is ``search.factor``."""
+    """Cone membership with checkable evidence.
+
+    ``factor`` is the nonnegative B with M = B B^T that proves membership,
+    when one is known: the nonnegative square root or the search's factor.
+    ``search`` is set only when the factorization search ran.
+    """
 
     dnn: bool
     cp: CpStatus
     evidence: str
     search: FactorizationResult | None = None
+    factor: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
-        factor = None if self.search is None else self.search.factor
         return {
             "dnn": self.dnn,
             "cp": self.cp.value,
             "evidence": self.evidence,
-            "factor": None if factor is None else matrix_to_literal(factor),
+            "factor": None if self.factor is None else matrix_to_literal(self.factor),
             "search": None if self.search is None else self.search.to_json_dict(),
         }
 
@@ -132,24 +139,42 @@ def cp_sufficient(m, tol: Tolerance = DEFAULT_TOL) -> str | None:
     """Cheap sufficient conditions for completely-positive membership.
 
     Diagonal dominance of a symmetric nonnegative matrix suffices, as does
-    order below five together with doubly-nonnegative membership. Returns
-    the satisfied condition's name, or None; never a false positive.
+    doubly-nonnegative membership together with order below five or with a
+    principal square root S that is entrywise nonnegative, up to ``eq_tol``,
+    and within the default budget's residual target of a factor:
+    ||M - S S^T||_F <= 1e-7. These are classify_ds's conditions in its order,
+    so on a matrix of unit total mass this names the condition that settles
+    it under the default budget without a search. Returns the satisfied
+    condition's name, or None; never a false positive.
     """
     a = checked_real_symmetric(m, "matrix", tol)
     if a.min() < -tol.eq_tol:
         return None
-    return _sufficient(a, tol, a.shape[0] < 5 and _is_dnn(a, tol))
+    settled = _sufficient(a, tol, _is_dnn(a, tol), SearchBudget.residual_target)
+    return None if settled is None else settled[0]
 
 
-def _sufficient(a: np.ndarray, tol: Tolerance, small_dnn: bool) -> str | None:
-    # cp_sufficient on a checked nonnegative matrix; small_dnn says whether
-    # it is doubly nonnegative of order below five
+def _sufficient(
+    a: np.ndarray, tol: Tolerance, dnn: bool, target: float
+) -> tuple[str, np.ndarray | None] | None:
+    # cp_sufficient on a checked nonnegative matrix, which dnn says is
+    # doubly nonnegative or not: the satisfied condition and its factor, if
+    # it has one. The square root costs an eigh, so it runs last.
     off_row_sums = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
     if np.all(np.diag(a) >= off_row_sums - tol.eq_tol):
-        return "diag-dominant"
-    if small_dnn:
-        return "small-dimension"
-    return None
+        return "diag-dominant", None
+    if not dnn:
+        return None
+    if a.shape[0] < 5:
+        return "small-dimension", None
+    w, v = np.linalg.eigh(a)
+    s = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+    if s.min() < -tol.eq_tol:
+        return None
+    s = np.maximum(s, 0.0)
+    if not np.linalg.norm(a - s @ s.T) <= target:
+        return None
+    return "nonnegative-square-root", s
 
 
 def _work_arrays(m: np.ndarray, pair: np.ndarray) -> tuple:
@@ -190,9 +215,11 @@ def _descend(
     clipped to [4e-12, 4e6] and halved when s.y is at most 2.5e-31. At every
     check the residual ||B B^T - M||_F comes from the B B^T - M the gradient
     step just formed; it updates each restart's best, and restarts that have
-    stalled leave the stack. The descent ends at the first check where some
-    restart's best residual reaches the target, when the budget runs out, or
-    when every restart has stalled.
+    stalled leave the stack. A restart whose step sits at the floor at a
+    check that did not cut its best residual has stalled at once: from there
+    it would idle until the stall rule ends it. The descent ends at the
+    first check where some restart's best residual reaches the target, when
+    the budget runs out, or when every restart has stalled.
 
     Returns per restart its best factor, the residual of that factor, the
     iterations it ran and its exit reason. Restarts still descending when
@@ -247,7 +274,8 @@ def _descend(
         counts = np.where(flat, stalls[live] + 1, 0)
         stalls[live] = counts
         previous[live] = current
-        done = counts >= _STALL_CHECKS
+        floored = np.array([step == 4e-12 for step in steps])
+        done = (counts >= _STALL_CHECKS) | (flat & floored)
         if done.any():
             iters[live[done]] = it
             for i in live[done]:
@@ -344,7 +372,9 @@ def classify_ds(
     The matrix is normalized to unit total mass first (all cone conditions
     are scale-invariant). Not doubly nonnegative means a negative
     partial-transpose eigenvalue, hence free entanglement. Doubly
-    nonnegative plus any completely-positive evidence means separable.
+    nonnegative plus any completely-positive evidence means separable: the
+    conditions of cp_sufficient, the square root held to the budget's
+    residual target, and then the search, which runs only if they all fail.
     Doubly nonnegative at order >= 5 with the search exhausted is reported
     as a bound-entanglement candidate, since a failed search is not a proof.
     Each check runs once, on the normalized matrix.
@@ -356,11 +386,13 @@ def classify_ds(
     a = a / mass
     if not _is_dnn(a, tol):
         return Classification.NPT_ENTANGLED, ConeVerdict(False, CpStatus.NO, "not-dnn")
-    condition = _sufficient(a, tol, a.shape[0] < 5)
-    if condition is not None:
-        return Classification.SEPARABLE, ConeVerdict(True, CpStatus.YES, condition)
+    settled = _sufficient(a, tol, True, budget.residual_target)
+    if settled is not None:
+        evidence, factor = settled
+        return Classification.SEPARABLE, ConeVerdict(True, CpStatus.YES, evidence, factor=factor)
     result = _search(a, budget)
     if result.found:
-        return Classification.SEPARABLE, ConeVerdict(True, CpStatus.YES, "factorization", result)
+        verdict = ConeVerdict(True, CpStatus.YES, "factorization", result, result.factor)
+        return Classification.SEPARABLE, verdict
     verdict = ConeVerdict(True, CpStatus.UNKNOWN, "search-not-found", result)
     return Classification.PPT_ENTANGLED_CANDIDATE, verdict

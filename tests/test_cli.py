@@ -26,10 +26,12 @@ from mcfqc.presets import BOUND6_M, DEMO_ALPHA_GRID, DEMO_CROSSTALK_5
 from mcfqc.symmetric_states import channel_from_ds
 
 from sampling import random_cptp_channel
+from test_cones import MISSED_BY_RESTART_0
 from test_pipeline import count_decompositions
 
 FAST_SEARCH = ["--restarts", "5", "--max-iters", "5000"]
-# Nonnegative factor of an order-5 matrix that the reduced search factorizes.
+# Nonnegative factor of an order-5 matrix whose principal square root is
+# nonnegative too, so cp-test settles it without a search.
 PLANTED_CP_5 = np.random.default_rng(0).random((5, 15))
 SEARCH_KEYS = {
     "found", "best_residual", "restarts_run", "total_iterations", "found_at_restart", "exits",
@@ -495,9 +497,11 @@ class TestCpTest:
         [
             (np.eye(3) / 3, set()),
             (BOUND6_M, {"search"}),
-            (PLANTED_CP_5 @ PLANTED_CP_5.T, {"factor", "search"}),
+            # its principal square root has a negative entry, -0.0136
+            (MISSED_BY_RESTART_0, {"factor", "search"}),
+            (PLANTED_CP_5 @ PLANTED_CP_5.T, {"factor"}),
         ],
-        ids=["sufficient", "not-found", "factorized"],
+        ids=["sufficient", "not-found", "factorized", "square-root"],
     )
     def test_output_key_sets(self, tmp_path, m, extra):
         target = write_bound6(tmp_path, m)
@@ -727,6 +731,8 @@ CLI_OUTPUTS = {
         "certify", "--input", str(write_demo_channel(t, alpha=-1.2)), "--force", *FAST_SEARCH],
     "demo-bound6": lambda t: ["demo-bound6", "--outdir", str(t / "b6"), "--restarts", "3"],
     "cp-test-factor-search": lambda t: [
+        "cp-test", "--input", str(write_bound6(t, MISSED_BY_RESTART_0)), *FAST_SEARCH],
+    "cp-test-square-root": lambda t: [
         "cp-test", "--input", str(write_bound6(t, PLANTED_CP_5 @ PLANTED_CP_5.T)), *FAST_SEARCH],
     "sweep": lambda t: [
         "sweep", "--input", str(write_sweep(t, DEMO_CROSSTALK_5, [0.0, -0.8, -1.2])), *FAST_SEARCH],

@@ -32,6 +32,26 @@ def bound6_default():
     return cp_factorize(BOUND6_M)
 
 
+def principal_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+
+
+def coupled_power(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Crosstalk P = exp(LQ) of coupled-power theory: Q symmetric, with
+    nonnegative off-diagonal rates spread over three decades and zero row
+    sums, and a length L in [0.5, 5]."""
+    rates = np.triu(10.0 ** rng.uniform(-3.0, 0.0, (d, d)), 1)
+    rates = rates + rates.T
+    w, v = np.linalg.eigh(rng.uniform(0.5, 5.0) * (rates - np.diag(rates.sum(axis=1))))
+    return (v * np.exp(w)) @ v.T
+
+
+def planted_cp(d: int, rng: np.random.Generator) -> np.ndarray:
+    b = rng.random((d, d))
+    return b @ b.T
+
+
 class TestIsDnn:
     def test_bound6_matrix(self):
         assert is_dnn(BOUND6_M)
@@ -67,6 +87,13 @@ class TestCpSufficient:
 
     def test_bound6_matrix_has_no_cheap_certificate(self):
         assert cp_sufficient(BOUND6_M) is None
+
+    def test_square_root_condition(self):
+        m = planted_cp(5, np.random.default_rng(0))
+        assert principal_sqrt(m).min() >= 0.0
+        assert cp_sufficient(m / m.sum()) == "nonnegative-square-root"
+        # not doubly nonnegative: no square root is taken
+        assert cp_sufficient(np.ones((5, 5)) - 0.5 * np.eye(5)) is None
 
 
 class TestCpFactorize:
@@ -183,7 +210,7 @@ class TestBatchedSearch:
 
     def test_classify_ds_runs_each_check_once(self, monkeypatch):
         calls = Counter()
-        check, eigvalsh = cones.checked_real_symmetric, np.linalg.eigvalsh
+        check, eigvalsh, eigh = cones.checked_real_symmetric, np.linalg.eigvalsh, np.linalg.eigh
 
         def counted_check(*args, **kwargs):
             calls["checked_real_symmetric"] += 1
@@ -193,12 +220,71 @@ class TestBatchedSearch:
             calls["eigvalsh"] += 1
             return eigvalsh(*args, **kwargs)
 
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
         monkeypatch.setattr(cones, "checked_real_symmetric", counted_check)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         classification, cone = classify_ds(MISSED_BY_RESTART_0, STACK_BUDGET)
         assert classification == Classification.SEPARABLE
         assert cone.evidence == "factorization"
-        assert calls == {"checked_real_symmetric": 1, "eigvalsh": 1}
+        assert calls == {"checked_real_symmetric": 1, "eigvalsh": 1, "eigh": 1}
+
+    def test_bound6_default_budget_iterations(self, bound6_default):
+        # Restarts frozen at the step floor leave at their first flat check.
+        assert bound6_default.total_iterations == 70_700
+
+    def test_frozen_restarts_leave_at_their_first_flat_check(self):
+        # The default budget's 100 starts in one stack: 56 reach the step
+        # floor early and leave at the second check, iteration 100; the rest
+        # stall after 12 flat checks, or reach the floor late.
+        _, _, iters, exits = cones._descend(
+            BOUND6_M, cones._starts(BOUND6_M, 0, range(100)), 100_000, 1e-7
+        )
+        assert exits == ["stall"] * 100
+        assert int((iters == 100).sum()) == 56
+        assert int(iters[iters != 100].min()) >= 950
+
+    @pytest.mark.parametrize(
+        "make, budget, pinned",
+        [
+            # (found_at_restart, best_residual, factor sum, factor Frobenius
+            # norm) of the search that let floored restarts idle through 12
+            # flat checks. Each search has a restart that leaves at the step
+            # floor; the factor found must not move.
+            (lambda: planted_cp(7, np.random.default_rng([11, 0, 3, 7, 0])),
+             SearchBudget(restarts=10, seed=11),
+             (1, 6.418986417042702e-08, 5.26741080062043, 0.4212616161920753)),
+            (lambda: planted_cp(8, np.random.default_rng([11, 12, 0, 8, 0])),
+             SearchBudget(restarts=10, seed=11),
+             (9, 8.240112328493005e-08, 5.9087577105662135, 0.40969129079752925)),
+            (lambda: planted_cp(8, np.random.default_rng([11, 18, 1, 8, 0])),
+             SearchBudget(restarts=10, seed=11),
+             (8, 7.663227113051962e-08, 5.967237410360674, 0.3977555825417852)),
+            (lambda: random_dnn_matrix(6, np.random.default_rng([11, 0, 0, 6, 1])),
+             SearchBudget(restarts=10, seed=11),
+             (3, 8.327507017884752e-08, 4.489247463693592, 0.5473466423512912)),
+            (lambda: random_dnn_matrix(6, np.random.default_rng([11, 23, 2, 6, 1])),
+             SearchBudget(restarts=10, seed=11),
+             (3, 8.86459731029988e-08, 4.41585512388923, 0.5731368093832918)),
+            (lambda: MISSED_BY_RESTART_0, STACK_BUDGET,
+             (2, 2.515646230710888e-08, 3.772845290173107, 0.5946139076486725)),
+        ],
+        ids=["planted-7", "planted-8a", "planted-8b", "wishart-6a", "wishart-6b", "missed-by-0"],
+    )
+    def test_floor_retirement_keeps_found_factors(self, make, budget, pinned):
+        # Tolerances of 1e-9 relative let last-bit BLAS differences pass;
+        # a changed trajectory moves these values far more.
+        m = make()
+        result = cp_factorize(m / m.sum(), budget)
+        found_at, residual, total, norm = pinned
+        assert result.found and result.found_at_restart == found_at
+        assert result.best_residual == pytest.approx(residual, rel=1e-9)
+        assert float(result.factor.sum()) == pytest.approx(total, rel=1e-9)
+        assert float(np.linalg.norm(result.factor)) == pytest.approx(norm, rel=1e-9)
+        assert result.exits["stall"] >= 1
 
 
 class TestClassifyDs:
@@ -213,6 +299,56 @@ class TestClassifyDs:
         assert classification == Classification.NPT_ENTANGLED
         assert cone.cp == CpStatus.NO
         assert cone.evidence == "not-dnn"
+
+    def test_coupled_power_crosstalk_is_separable_without_search(self):
+        # P = exp(LQ) has the nonnegative factor exp(LQ/2), its principal
+        # square root, so P/d needs no search. Diagonal dominance, checked
+        # first, settles the draws that couple weakly.
+        rng = np.random.default_rng(0)
+        evidence = Counter()
+        for d in range(5, 12):
+            for _ in range(4):
+                m = coupled_power(d, rng) / d
+                classification, cone = classify_ds(m)
+                assert classification == Classification.SEPARABLE
+                assert cone.search is None
+                assert cone.evidence == cp_sufficient(m / m.sum())
+                evidence[cone.evidence] += 1
+                if cone.evidence == "diag-dominant":
+                    continue
+                assert cone.evidence == "nonnegative-square-root"
+                assert cone.factor.min() >= 0.0
+                assert np.linalg.norm(m / m.sum() - cone.factor @ cone.factor.T) <= 1e-7
+        assert evidence["nonnegative-square-root"] >= 24
+
+    def test_reducible_matrix_factor_is_clipped(self):
+        # A direct sum of two positive blocks, each the square of a positive
+        # definite positive matrix, with its indices shuffled. The root's
+        # entries between the blocks are exact zeros computed as +-1e-17.
+        clipped = 0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            roots = [rng.random((n, n)) for n in (3, 4)]
+            m = np.zeros((7, 7))
+            for block, r in zip((slice(0, 3), slice(3, 7)), roots):
+                r = r + r.T + r.shape[0] * np.eye(r.shape[0])
+                m[block, block] = r @ r
+            order = rng.permutation(7)
+            m = m[np.ix_(order, order)]
+            a = m / m.sum()
+            clipped += int(principal_sqrt(a).min() < 0.0)
+            classification, cone = classify_ds(m)
+            assert classification == Classification.SEPARABLE
+            assert cone.evidence == "nonnegative-square-root" and cone.search is None
+            assert cone.factor.min() >= 0.0
+            assert np.all(cone.factor[m == 0.0] < 1e-15)
+            assert np.linalg.norm(a - cone.factor @ cone.factor.T) <= 1e-7
+        assert clipped > 0
+
+    def test_bound6_root_is_negative_so_it_searches(self):
+        assert principal_sqrt(BOUND6_M / BOUND6_M.sum()).min() == pytest.approx(-0.028, abs=5e-4)
+        _, cone = classify_ds(BOUND6_M, FAST_BUDGET)
+        assert cone.search is not None and cone.factor is None
 
     def test_bound6_matrix_is_candidate(self):
         classification, cone = classify_ds(BOUND6_M, FAST_BUDGET)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import mcfqc.cones
 import mcfqc.linalg
+import mcfqc.pipeline
 import mcfqc.states
 from mcfqc import cli
 from mcfqc.channel import McfChannel, channel_to_config
@@ -252,20 +253,28 @@ class TestSweepAlpha:
 
     def test_runs_no_cone_search(self, monkeypatch):
         # At alpha = q - 1 the output is the pair (M, M) with M = P/6, which
-        # run_protocol classifies by a search; a sweep row has no cone section.
+        # run_protocol classifies; a sweep row has no cone section. A pair
+        # (M, M) under uniform dephasing has M = (q J + c I)/d, whose square
+        # root is nonnegative, so no uniform-dephasing row reaches the search.
         q = 0.14
         p = np.full((6, 6), q) + np.diag(np.full(6, 0.3 - q))
         grid = [q - 1.0, -0.5, 0.0]
-        searches = []
-        search = mcfqc.cones._search
+        classified, searches = [], []
+        classify, search = mcfqc.pipeline.classify_ds, mcfqc.cones._search
+        monkeypatch.setattr(mcfqc.pipeline, "classify_ds",
+                            lambda *args: classified.append(args) or classify(*args))
         monkeypatch.setattr(mcfqc.cones, "_search",
                             lambda *args: searches.append(args) or search(*args))
         rows = sweep_alpha(p, grid, budget=FAST_BUDGET)
-        assert searches == []
+        assert classified == [] and searches == []
+        reports = []
         for row, alpha in zip(rows, grid):
             ch = McfChannel.with_uniform_dephasing(p, alpha)
-            assert row.verdicts == run_protocol(ch, budget=FAST_BUDGET, force=True).verdicts
-        assert len(searches) == 1
+            reports.append(run_protocol(ch, budget=FAST_BUDGET, force=True))
+            assert row.verdicts == reports[-1].verdicts
+        assert len(classified) == 1 and searches == []
+        cone = reports[0].ds_section.cone
+        assert cone.evidence == "nonnegative-square-root" and cone.search is None
 
     def test_row_serialization(self):
         rows = sweep_alpha(np.eye(2), [-0.5], budget=FAST_BUDGET)
