@@ -5,11 +5,12 @@ here is heuristic: cheap sufficient conditions first (the last of them a
 nonnegative principal square root, which is itself a factor), then a seeded
 multi-restart projected-gradient factorization. Restart 0 runs alone, since
 it settles most inputs that can be settled; the remaining restarts descend
-together, as stacked arrays of bounded size. A factorization that hits the residual
-target is checkable evidence of membership; exhausting the budget is
-reported as "not found", never as a proof of non-membership. For orders
-below five the two cones coincide, so doubly-nonnegative membership alone
-settles the question there.
+together, as stacked arrays of bounded size. A restart stops when it stops
+improving: at once if it is stationary or frozen at the step floor. A
+factorization that hits the residual target is checkable evidence of
+membership; exhausting the budget is reported as "not found", never as a
+proof of non-membership. For orders below five the two cones coincide, so
+doubly-nonnegative membership alone settles the question there.
 """
 
 from __future__ import annotations
@@ -26,9 +27,14 @@ _EXIT_REASONS = ("target", "stall", "budget")
 # The descent compares residuals every _CHECK_EVERY iterations and at its last
 # one; a restart has stalled after _STALL_CHECKS checks in a row that cut its
 # best residual by less than a relative 1e-6, or after one such check with its
-# step at the 4e-12 floor, where it barely moves.
+# step at the 4e-12 floor, where it barely moves, or with its iterate B
+# stationary: a projected gradient ||B - max(B - H, 0)||_F of at most
+# _STATIONARY * r * ||B||_F, where H = (B B^T - M) B and r = ||B B^T - M||_F,
+# so that H itself is of order r ||B||_F. The stationarity test runs only at
+# checks where some restart is flat.
 _CHECK_EVERY = 50
 _STALL_CHECKS = 12
+_STATIONARY = 1e-3
 # Restarts after the first descend in stacks of at most this many factor
 # entries (restarts x d x k): 256 kB per stacked array, which keeps a stack's
 # working set near the per-core cache. All 99 restarts of a default budget
@@ -73,8 +79,9 @@ class FactorizationResult:
 
     ``exits`` counts the restarts run by why they stopped, one key per
     exit reason, and the counts sum to ``restarts_run``: "stall" for
-    a restart whose best residual stopped improving, "budget" for one that
-    ran ``max_iters`` iterations, and "target" for every restart still
+    a restart whose best residual stopped improving, whether it was frozen
+    at the step floor, stationary or neither, "budget" for one that ran
+    ``max_iters`` iterations, and "target" for every restart still
     descending at the check where the search reached its target.
     """
 
@@ -215,11 +222,13 @@ def _descend(
     clipped to [4e-12, 4e6] and halved when s.y is at most 2.5e-31. At every
     check the residual ||B B^T - M||_F comes from the B B^T - M the gradient
     step just formed; it updates each restart's best, and restarts that have
-    stalled leave the stack. A restart whose step sits at the floor at a
-    check that did not cut its best residual has stalled at once: from there
-    it would idle until the stall rule ends it. The descent ends at the
-    first check where some restart's best residual reaches the target, when
-    the budget runs out, or when every restart has stalled.
+    stalled leave the stack. A check that did not cut a restart's best
+    residual ends it at once if its step sits at the floor, where it would
+    idle, or if its projected gradient is at most _STATIONARY times
+    r ||B||_F, where it would only polish its residual; otherwise it stalls
+    after _STALL_CHECKS such checks in a row. The descent ends at the first
+    check where some restart's best residual reaches the target, when the
+    budget runs out, or when every restart has stalled.
 
     Returns per restart its best factor, the residual of that factor, the
     iterations it ran and its exit reason. Restarts still descending when
@@ -274,8 +283,14 @@ def _descend(
         counts = np.where(flat, stalls[live] + 1, 0)
         stalls[live] = counts
         previous[live] = current
-        floored = np.array([step == 4e-12 for step in steps])
-        done = (counts >= _STALL_CHECKS) | (flat & floored)
+        done = counts >= _STALL_CHECKS
+        if flat.any():
+            # The projected gradient B - max(B - H, 0) is min(B, H), as B >= 0.
+            _, _, _, b_flat, _, h_flat = old
+            gap = np.linalg.norm(np.minimum(b_flat, h_flat), axis=1)
+            stationary = gap <= _STATIONARY * r * np.linalg.norm(b_flat, axis=1)
+            floored = np.array([step == 4e-12 for step in steps])
+            done |= flat & (floored | stationary)
         if done.any():
             iters[live[done]] = it
             for i in live[done]:

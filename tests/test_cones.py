@@ -233,19 +233,41 @@ class TestBatchedSearch:
         assert calls == {"checked_real_symmetric": 1, "eigvalsh": 1, "eigh": 1}
 
     def test_bound6_default_budget_iterations(self, bound6_default):
-        # Restarts frozen at the step floor leave at their first flat check.
-        assert bound6_default.total_iterations == 70_700
+        # Restarts frozen at the step floor or stationary leave at their
+        # first flat check.
+        assert bound6_default.total_iterations == 43_200
 
     def test_frozen_restarts_leave_at_their_first_flat_check(self):
         # The default budget's 100 starts in one stack: 56 reach the step
         # floor early and leave at the second check, iteration 100; the rest
-        # stall after 12 flat checks, or reach the floor late.
+        # leave once stationary, from iteration 400 on.
         _, _, iters, exits = cones._descend(
             BOUND6_M, cones._starts(BOUND6_M, 0, range(100)), 100_000, 1e-7
         )
         assert exits == ["stall"] * 100
         assert int((iters == 100).sum()) == 56
-        assert int(iters[iters != 100].min()) >= 950
+        assert int(iters[iters != 100].min()) == 400
+
+    def test_stationary_restart_leaves_at_its_first_flat_check(self, monkeypatch):
+        # A restart started at a local minimum of BOUND6_M: its projected
+        # gradient is far below the stationarity bound and its step is not
+        # at the floor, so only the stationarity test stops it at the second
+        # check, the first that can be flat.
+        start, _, _, _ = cones._descend(
+            BOUND6_M, cones._starts(BOUND6_M, 0, range(5, 6)), 100_000, 1e-7
+        )
+        e = start @ start.transpose(0, 2, 1) - BOUND6_M
+        r = np.linalg.norm(e)
+        assert r == pytest.approx(5.409e-3, rel=1e-4)
+        gap = np.linalg.norm(np.minimum(start, e @ start))
+        assert gap <= 1e-2 * cones._STATIONARY * r * np.linalg.norm(start)
+        _, residuals, iters, exits = cones._descend(BOUND6_M, start, 100_000, 1e-7)
+        assert exits == ["stall"] and iters.tolist() == [cones._CHECK_EVERY * 2]
+        assert residuals[0] == pytest.approx(r, rel=1e-6)
+        # Without the stationarity test it descends on for several checks.
+        monkeypatch.setattr(cones, "_STATIONARY", 0.0)
+        _, _, iters, exits = cones._descend(BOUND6_M, start, 100_000, 1e-7)
+        assert exits == ["stall"] and iters[0] >= cones._CHECK_EVERY * 10
 
     @pytest.mark.parametrize(
         "make, budget, pinned",
@@ -275,9 +297,30 @@ class TestBatchedSearch:
         ids=["planted-7", "planted-8a", "planted-8b", "wishart-6a", "wishart-6b", "missed-by-0"],
     )
     def test_floor_retirement_keeps_found_factors(self, make, budget, pinned):
+        self.check_pinned_factor(make(), budget, pinned)
+
+    @pytest.mark.parametrize(
+        "make, pinned",
+        [
+            # Restart 0 misses and seven restarts of the stack stall after
+            # 12 flat checks each, stationary at none of them, before
+            # restart 5 reaches the target.
+            (lambda: random_dnn_matrix(6, np.random.default_rng([11, 12, 1, 6, 1])),
+             (5, 9.953732626010396e-08, 4.436247375877111, 0.6399536489748887)),
+            # Two restarts leave at the step floor before restart 6 hits.
+            (lambda: random_dnn_matrix(5, np.random.default_rng([11, 17, 3, 5, 1])),
+             (6, 7.132019321526349e-11, 3.753991964557376, 0.5847895935332761)),
+        ],
+        ids=["wishart-6c", "wishart-5"],
+    )
+    def test_stationary_retirement_keeps_found_factors(self, make, pinned):
+        # Pinned from the search that had no stationarity test.
+        self.check_pinned_factor(make(), SearchBudget(restarts=10, seed=11), pinned)
+
+    @staticmethod
+    def check_pinned_factor(m, budget, pinned):
         # Tolerances of 1e-9 relative let last-bit BLAS differences pass;
         # a changed trajectory moves these values far more.
-        m = make()
         result = cp_factorize(m / m.sum(), budget)
         found_at, residual, total, norm = pinned
         assert result.found and result.found_at_restart == found_at
