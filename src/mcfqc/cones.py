@@ -6,7 +6,9 @@ nonnegative principal square root, which is itself a factor), then a seeded
 multi-restart projected-gradient factorization. Restart 0 runs alone, since
 it settles most inputs that can be settled; the remaining restarts descend
 together, as stacked arrays of bounded size. A restart stops when it stops
-improving: at once if it is stationary or frozen at the step floor. A
+improving: at once if it is stationary or frozen at the step floor. It
+reaches the residual target by descent, or by a few Gauss-Newton steps
+taken from a copy of its iterate once it is near the target. A
 factorization that hits the residual target is checkable evidence of
 membership; exhausting the budget is reported as "not found", never as a
 proof of non-membership. For orders below five the two cones coincide, so
@@ -35,6 +37,13 @@ _EXIT_REASONS = ("target", "stall", "budget")
 _CHECK_EVERY = 50
 _STALL_CHECKS = 12
 _STATIONARY = 1e-3
+# At a check, a restart whose residual r has fallen within _POLISH_FROM times
+# the target tries up to _POLISH_STEPS Gauss-Newton steps from a copy of its
+# iterate; whether or not they reach the target, it tries again only once its
+# residual is at most _POLISH_RETRY * r.
+_POLISH_FROM = 1e3
+_POLISH_STEPS = 4
+_POLISH_RETRY = 0.5
 # Restarts after the first descend in stacks of at most this many factor
 # entries (restarts x d x k): 256 kB per stacked array, which keeps a stack's
 # working set near the per-core cache. All 99 restarts of a default budget
@@ -82,7 +91,8 @@ class FactorizationResult:
     a restart whose best residual stopped improving, whether it was frozen
     at the step floor, stationary or neither, "budget" for one that ran
     ``max_iters`` iterations, and "target" for every restart still
-    descending at the check where the search reached its target.
+    descending at the check where the search reached its target, by
+    descent or by polish.
     """
 
     found: bool
@@ -212,6 +222,34 @@ def _work_arrays(m: np.ndarray, pair: np.ndarray) -> tuple:
     )
 
 
+def _polish(m: np.ndarray, b: np.ndarray, target: float) -> tuple[np.ndarray, float] | None:
+    """Gauss-Newton steps on the positive entries of the factor b, up to the target.
+
+    Each step solves (J J^T) z = -vech(B B^T - M), where J is the Jacobian
+    of vech(B B^T) in B's positive entries, moves those entries by J^T z,
+    the least-norm solution of the linearized equations, and clips B at 0.
+    Returns the first factor within the target and its residual
+    ||B B^T - M||_F; None if none of the _POLISH_STEPS steps reaches the
+    target or J J^T is singular, as when B has a zero row.
+    """
+    rows, cols = np.triu_indices(m.shape[0])
+    for _ in range(_POLISH_STEPS):
+        p, q = np.nonzero(b)
+        # d(B B^T)_rc / dB_pq = [r == p] B_cq + [c == p] B_rq
+        jac = (rows[:, None] == p) * b[cols[:, None], q]
+        jac += (cols[:, None] == p) * b[rows[:, None], q]
+        try:
+            z = np.linalg.solve(jac @ jac.T, (m - b @ b.T)[rows, cols])
+        except np.linalg.LinAlgError:
+            return None
+        b = b.copy()
+        b[p, q] = np.maximum(b[p, q] + jac.T @ z, 0.0)
+        r = float(np.linalg.norm(b @ b.T - m))
+        if r <= target:
+            return b, r
+    return None
+
+
 def _descend(
     m: np.ndarray, b0: np.ndarray, max_iters: int, target: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
@@ -226,19 +264,25 @@ def _descend(
     residual ends it at once if its step sits at the floor, where it would
     idle, or if its projected gradient is at most _STATIONARY times
     r ||B||_F, where it would only polish its residual; otherwise it stalls
-    after _STALL_CHECKS such checks in a row. The descent ends at the first
-    check where some restart's best residual reaches the target, when the
-    budget runs out, or when every restart has stalled.
+    after _STALL_CHECKS such checks in a row. At a check, each restart with
+    a residual above the target and at most its polish threshold, at first
+    _POLISH_FROM times the target, runs _polish on a copy of its iterate and
+    lowers the threshold to _POLISH_RETRY times its residual; a polished
+    factor at the target becomes its best. The iterate itself never changes,
+    so neither does any trajectory or exit before the first hit. The descent
+    ends at the first check where some restart's best residual reaches the
+    target, when the budget runs out, or when every restart has stalled.
 
     Returns per restart its best factor, the residual of that factor, the
-    iterations it ran and its exit reason. Restarts still descending when
-    the descent ends exit for the reason it ended: "target" or "budget".
+    descent iterations it ran and its exit reason. Restarts still descending
+    when the descent ends exit for the reason it ended: "target" or "budget".
     """
     n = b0.shape[0]
     best_b = b0.copy()
     best_r = np.full(n, np.inf)
     previous = np.full(n, np.inf)
     stalls = np.zeros(n, dtype=int)
+    polish_at = np.full(n, _POLISH_FROM * target)
     iters = np.full(n, max_iters)
     exits = ["budget"] * n
     live = np.arange(n)
@@ -271,6 +315,14 @@ def _descend(
         better = r < best_r[live]
         best_r[live[better]] = r[better]
         best_b[live[better]] = b_new[better]
+        # The first polished hit ends the loop: a later one would have a
+        # higher restart index, and the descent ends at this check anyway.
+        for j in np.flatnonzero((r > target) & (r <= polish_at[live])):
+            polish_at[live[j]] = _POLISH_RETRY * r[j]
+            polished = _polish(m, b_new[j], target)
+            if polished is not None:
+                best_b[live[j]], best_r[live[j]] = polished
+                break
         current = best_r[live]
         hit = bool((current <= target).any())
         if hit or it == max_iters:
@@ -351,15 +403,17 @@ def cp_factorize(
 
     Runs seeded projected-gradient descents from random nonnegative starts
     with d(d+1)/2 columns; restart r starts from the seed (budget.seed, r).
-    Restart 0 runs alone. If it misses the target, restarts 1 onward
-    descend together, in stacks capped in size, and the first check at
-    which any restart of a stack reaches the target ends the search. Hence:
+    A restart reaches the target by descent or, once near it, by
+    Gauss-Newton steps from a copy of its iterate. Restart 0 runs alone. If
+    it misses the target, restarts 1 onward descend together, in stacks
+    capped in size, and the first check at which any restart of a stack
+    reaches the target ends the search. Hence:
 
     - ``restarts_run`` counts the restarts started: restart 0 plus every
       stack started, in full, so a hit may leave it above
       ``found_at_restart + 1``;
-    - ``total_iterations`` sums the iterations each started restart ran
-      before it stopped;
+    - ``total_iterations`` sums the descent iterations each started
+      restart ran before it stopped; Gauss-Newton steps are not counted;
     - ``found_at_restart`` is the lowest index among the restarts at the
       target at that first check; its factor and residual are reported.
 

@@ -52,6 +52,44 @@ def planted_cp(d: int, rng: np.random.Generator) -> np.ndarray:
     return b @ b.T
 
 
+# The pinned searches: (found_at_restart, best_residual, factor sum, factor
+# Frobenius norm) of the search that let floored restarts idle through 12 flat
+# checks, with the Gauss-Newton polish off, since it moves found_at_restart.
+# Each search has a restart that leaves at the step floor; the factor found
+# must not move.
+FLOOR_RETIRED = [
+    (lambda: planted_cp(7, np.random.default_rng([11, 0, 3, 7, 0])),
+     SearchBudget(restarts=10, seed=11),
+     (1, 6.418986417042702e-08, 5.26741080062043, 0.4212616161920753)),
+    (lambda: planted_cp(8, np.random.default_rng([11, 12, 0, 8, 0])),
+     SearchBudget(restarts=10, seed=11),
+     (9, 8.240112328493005e-08, 5.9087577105662135, 0.40969129079752925)),
+    (lambda: planted_cp(8, np.random.default_rng([11, 18, 1, 8, 0])),
+     SearchBudget(restarts=10, seed=11),
+     (8, 7.663227113051962e-08, 5.967237410360674, 0.3977555825417852)),
+    (lambda: random_dnn_matrix(6, np.random.default_rng([11, 0, 0, 6, 1])),
+     SearchBudget(restarts=10, seed=11),
+     (3, 8.327507017884752e-08, 4.489247463693592, 0.5473466423512912)),
+    (lambda: random_dnn_matrix(6, np.random.default_rng([11, 23, 2, 6, 1])),
+     SearchBudget(restarts=10, seed=11),
+     (3, 8.86459731029988e-08, 4.41585512388923, 0.5731368093832918)),
+    (lambda: MISSED_BY_RESTART_0, STACK_BUDGET,
+     (2, 2.515646230710888e-08, 3.772845290173107, 0.5946139076486725)),
+]
+FLOOR_RETIRED_IDS = ["planted-7", "planted-8a", "planted-8b", "wishart-6a", "wishart-6b", "missed-by-0"]
+STATIONARY_RETIRED = [
+    # Restart 0 misses and seven restarts of the stack stall after
+    # 12 flat checks each, stationary at none of them, before
+    # restart 5 reaches the target.
+    (lambda: random_dnn_matrix(6, np.random.default_rng([11, 12, 1, 6, 1])),
+     (5, 9.953732626010396e-08, 4.436247375877111, 0.6399536489748887)),
+    # Two restarts leave at the step floor before restart 6 hits.
+    (lambda: random_dnn_matrix(5, np.random.default_rng([11, 17, 3, 5, 1])),
+     (6, 7.132019321526349e-11, 3.753991964557376, 0.5847895935332761)),
+]
+STATIONARY_RETIRED_IDS = ["wishart-6c", "wishart-5"]
+
+
 class TestIsDnn:
     def test_bound6_matrix(self):
         assert is_dnn(BOUND6_M)
@@ -269,53 +307,32 @@ class TestBatchedSearch:
         _, _, iters, exits = cones._descend(BOUND6_M, start, 100_000, 1e-7)
         assert exits == ["stall"] and iters[0] >= cones._CHECK_EVERY * 10
 
-    @pytest.mark.parametrize(
-        "make, budget, pinned",
-        [
-            # (found_at_restart, best_residual, factor sum, factor Frobenius
-            # norm) of the search that let floored restarts idle through 12
-            # flat checks. Each search has a restart that leaves at the step
-            # floor; the factor found must not move.
-            (lambda: planted_cp(7, np.random.default_rng([11, 0, 3, 7, 0])),
-             SearchBudget(restarts=10, seed=11),
-             (1, 6.418986417042702e-08, 5.26741080062043, 0.4212616161920753)),
-            (lambda: planted_cp(8, np.random.default_rng([11, 12, 0, 8, 0])),
-             SearchBudget(restarts=10, seed=11),
-             (9, 8.240112328493005e-08, 5.9087577105662135, 0.40969129079752925)),
-            (lambda: planted_cp(8, np.random.default_rng([11, 18, 1, 8, 0])),
-             SearchBudget(restarts=10, seed=11),
-             (8, 7.663227113051962e-08, 5.967237410360674, 0.3977555825417852)),
-            (lambda: random_dnn_matrix(6, np.random.default_rng([11, 0, 0, 6, 1])),
-             SearchBudget(restarts=10, seed=11),
-             (3, 8.327507017884752e-08, 4.489247463693592, 0.5473466423512912)),
-            (lambda: random_dnn_matrix(6, np.random.default_rng([11, 23, 2, 6, 1])),
-             SearchBudget(restarts=10, seed=11),
-             (3, 8.86459731029988e-08, 4.41585512388923, 0.5731368093832918)),
-            (lambda: MISSED_BY_RESTART_0, STACK_BUDGET,
-             (2, 2.515646230710888e-08, 3.772845290173107, 0.5946139076486725)),
-        ],
-        ids=["planted-7", "planted-8a", "planted-8b", "wishart-6a", "wishart-6b", "missed-by-0"],
-    )
-    def test_floor_retirement_keeps_found_factors(self, make, budget, pinned):
+    @pytest.mark.parametrize("make, budget, pinned", FLOOR_RETIRED, ids=FLOOR_RETIRED_IDS)
+    def test_floor_retirement_keeps_found_factors(self, monkeypatch, make, budget, pinned):
+        monkeypatch.setattr(cones, "_POLISH_FROM", 0.0)
         self.check_pinned_factor(make(), budget, pinned)
 
-    @pytest.mark.parametrize(
-        "make, pinned",
-        [
-            # Restart 0 misses and seven restarts of the stack stall after
-            # 12 flat checks each, stationary at none of them, before
-            # restart 5 reaches the target.
-            (lambda: random_dnn_matrix(6, np.random.default_rng([11, 12, 1, 6, 1])),
-             (5, 9.953732626010396e-08, 4.436247375877111, 0.6399536489748887)),
-            # Two restarts leave at the step floor before restart 6 hits.
-            (lambda: random_dnn_matrix(5, np.random.default_rng([11, 17, 3, 5, 1])),
-             (6, 7.132019321526349e-11, 3.753991964557376, 0.5847895935332761)),
-        ],
-        ids=["wishart-6c", "wishart-5"],
-    )
-    def test_stationary_retirement_keeps_found_factors(self, make, pinned):
+    @pytest.mark.parametrize("make, pinned", STATIONARY_RETIRED, ids=STATIONARY_RETIRED_IDS)
+    def test_stationary_retirement_keeps_found_factors(self, monkeypatch, make, pinned):
         # Pinned from the search that had no stationarity test.
+        monkeypatch.setattr(cones, "_POLISH_FROM", 0.0)
         self.check_pinned_factor(make(), SearchBudget(restarts=10, seed=11), pinned)
+
+    @pytest.mark.parametrize(
+        "make, budget",
+        [(make, budget) for make, budget, _ in FLOOR_RETIRED]
+        + [(make, SearchBudget(restarts=10, seed=11)) for make, _ in STATIONARY_RETIRED],
+        ids=FLOOR_RETIRED_IDS + STATIONARY_RETIRED_IDS,
+    )
+    def test_polish_finds_the_pinned_inputs_no_later(self, monkeypatch, make, budget):
+        m = make()
+        a = m / m.sum()
+        polished = cp_factorize(a, budget)
+        monkeypatch.setattr(cones, "_POLISH_FROM", 0.0)
+        descended = cp_factorize(a, budget)
+        assert polished.found and polished.factor.min() >= 0.0
+        assert np.linalg.norm(a - polished.factor @ polished.factor.T) <= budget.residual_target
+        assert polished.total_iterations <= descended.total_iterations
 
     @staticmethod
     def check_pinned_factor(m, budget, pinned):
@@ -328,6 +345,107 @@ class TestBatchedSearch:
         assert float(result.factor.sum()) == pytest.approx(total, rel=1e-9)
         assert float(np.linalg.norm(result.factor)) == pytest.approx(norm, rel=1e-9)
         assert result.exits["stall"] >= 1
+
+
+class TestPolish:
+    def test_perturbed_planted_factor_reaches_the_target(self):
+        rng = np.random.default_rng(0)
+        b = rng.random((6, 21))
+        m = b @ b.T
+        b, m = b / np.sqrt(m.sum()), m / m.sum()
+        near = b * (1.0 + 1.5e-3 * np.random.default_rng(1).standard_normal(b.shape))
+        assert np.linalg.norm(near @ near.T - m) == pytest.approx(1e-4, rel=0.05)
+        given = near.copy()
+        polished, residual = cones._polish(m, near, 1e-7)
+        assert residual <= 1e-7
+        assert residual == np.linalg.norm(polished @ polished.T - m)
+        assert polished.min() >= 0.0
+        # the descent's iterate is polished on a copy
+        assert np.array_equal(near, given)
+
+    def test_zero_row_gives_up_and_is_no_hit(self, monkeypatch):
+        # M has a zero row, so a factor near it may have one: J J^T is then
+        # singular. Restart 0 from seed 2 polishes such factors at two checks
+        # before its descent reaches the target by itself.
+        b = np.random.default_rng(2).random((6, 6))
+        b[0] = 0.0
+        m = b @ b.T
+        m /= m.sum()
+        # any step would meet an infinite target, so None means singular
+        assert cones._polish(m, b, np.inf) is None
+        start = cones._starts(m, 2, range(1))
+        outcomes = []
+        polish = cones._polish
+
+        def recorded(*args):
+            outcomes.append(polish(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(cones, "_polish", recorded)
+        with_polish = cones._descend(m, start, 20_000, 1e-7)
+        monkeypatch.setattr(cones, "_POLISH_FROM", 0.0)
+        without = cones._descend(m, start, 20_000, 1e-7)
+        assert len(outcomes) == 2 and outcomes == [None, None]
+        assert np.array_equal(with_polish[0], without[0])
+        assert with_polish[1:3] == pytest.approx(without[1:3], rel=0.0)
+        assert with_polish[3] == without[3] == ["target"]
+
+    def test_polish_only_adds_hits(self, monkeypatch):
+        # Seed-11 draws of both generators at orders 5-8 that reach the search.
+        budget = SearchBudget(restarts=10, seed=11)
+        searched = gained = 0
+        for index in range(36):
+            for d in (5, 6, 7, 8):
+                for g, make in enumerate((planted_cp, random_dnn_matrix)):
+                    m = make(d, np.random.default_rng([11, index, d, g]))
+                    a = m / m.sum()
+                    if cp_sufficient(a) is not None:
+                        continue
+                    searched += 1
+                    monkeypatch.setattr(cones, "_POLISH_FROM", 1e3)
+                    polished = cp_factorize(a, budget)
+                    monkeypatch.setattr(cones, "_POLISH_FROM", 0.0)
+                    descended = cp_factorize(a, budget)
+                    if descended.found:
+                        assert polished.found
+                        assert polished.total_iterations <= descended.total_iterations
+                    if polished.found:
+                        gained += polished.total_iterations < descended.total_iterations
+                        assert polished.factor.min() >= 0.0
+                        assert np.linalg.norm(a - polished.factor @ polished.factor.T) <= 1e-7
+        assert searched >= 150
+        assert gained >= searched // 2
+
+    @pytest.mark.parametrize("seed, key", [(2001, [2001, 25, 0, 7, 0]), (2003, [2003, 23, 3, 7, 0])])
+    def test_restart_0_is_no_longer_retired_before_the_target(self, seed, key):
+        # The stationarity exit retired restart 0 of these planted matrices
+        # just above the target; the search then found restarts 2 and 4,
+        # after 31 700 and 31 000 iterations.
+        m = planted_cp(7, np.random.default_rng(key))
+        result = cp_factorize(m / m.sum(), SearchBudget(restarts=10, seed=seed))
+        assert result.found and result.found_at_restart == 0
+        assert result.total_iterations <= 1_000
+
+    def test_retries_are_bounded_where_nothing_is_found(self, monkeypatch):
+        # Every restart of this search passes 1e-4 and stalls above the
+        # target; each polishes again only once its residual has halved.
+        calls = []
+        polish = cones._polish
+
+        def counted(*args):
+            calls.append(args)
+            return polish(*args)
+
+        monkeypatch.setattr(cones, "_polish", counted)
+        m = random_dnn_matrix(6, np.random.default_rng([2003, 81, 3, 6, 1]))
+        m = m / m.sum()  # as classify_ds normalizes it
+        budget = SearchBudget(restarts=10, seed=2003)
+        result = cp_factorize(m, budget)
+        assert 0 < len(calls) <= 40
+        monkeypatch.setattr(cones, "_POLISH_FROM", 0.0)
+        assert result.to_json_dict() == cp_factorize(m, budget).to_json_dict()
+        assert not result.found and result.total_iterations == 139_200
+        assert result.best_residual == pytest.approx(8.427e-6, rel=1e-4)
 
 
 class TestClassifyDs:
